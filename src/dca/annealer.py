@@ -91,13 +91,15 @@ class InsertionProposer(Proposer):
     Draws `pool_size` neighbours uniformly (with replacement) from the
     distinct insertion neighbourhood, discards any that violate more
     constraints than the current assignment, and returns a minimal-violation
-    survivor with ties broken uniformly. If a whole pool is discarded it
-    redraws; after `max_retries` exhausted pools it scans the neighbourhood
-    outright and returns a minimal-violation admissible neighbour, so random
-    bad luck cannot push the walk out of the constrained region. Only when no
-    neighbour at all stays within the current violation count (the region is
-    a single point) does the least-violating draw come back, so a proposal is
-    always produced.
+    survivor with ties broken uniformly. The neighbourhood is a lazy sequence
+    (`InsertionNeighborhood`), so building it costs O(n log n) and each draw
+    O(n) plus one violation count. If a whole pool is discarded it redraws;
+    after `max_retries` exhausted pools it scans all (n-1)**2 neighbours and
+    returns a minimal-violation admissible one, so random bad luck cannot
+    push the walk out of the constrained region. Only when no neighbour at
+    all stays within the current violation count (the region is a single
+    point) does the least-violating draw come back, so a proposal is always
+    produced.
     """
 
     def __init__(self, rng: np.random.Generator, pool_size: int = 8, max_retries: int = 8):

@@ -151,8 +151,8 @@ def run_sweep(
                 raise
         if fresh:
             test_id = run.fresh_id()
-            best_so_far = max((r.mean for r in run.records), default=est.mean)
-            marker = MARKER_STAR if est.mean > best_so_far else MARKER_NONE
+            improves = run.best_mean is not None and est.mean > run.best_mean
+            marker = MARKER_STAR if improves else MARKER_NONE
             run.add(
                 TraceRecord(
                     test_id=test_id,

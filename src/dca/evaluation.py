@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ElementNotFoundError,
     EmptyBatchError,
     OracleIOError,
     ReplayMissError,
 )
-from .perm import Assignment, as_assignment, format_assignment, parse_assignment, rank_of
+from .perm import Assignment, as_assignment, format_assignment, parse_assignment
 
 REPLAY_HEADER = "# dca-replay v1"
 
@@ -94,9 +95,14 @@ class HiddenTargetLandscape:
         return tuple(sorted(self.target))
 
     def true_fitness(self, x: Assignment) -> float:
-        target_rank = {e: i + 1 for i, e in enumerate(self.target)}
+        rank = {e: i + 1 for i, e in enumerate(x)}
+        missing = [e for e in self.target if e not in rank]
+        if missing:
+            raise ElementNotFoundError(
+                f"element {missing[0]} not in assignment {format_assignment(x)}"
+            )
         return -sum(
-            self.weights[e] * abs(rank_of(x, e) - target_rank[e]) for e in self.target
+            self.weights[e] * abs(rank[e] - i) for i, e in enumerate(self.target, start=1)
         )
 
     @classmethod
@@ -354,7 +360,7 @@ def decode_response(line: str) -> FitnessEstimate:
 
 
 class CachingEvaluator:
-    """Per-run estimate cache keyed by (serialized assignment, game tier).
+    """Per-run estimate cache keyed by (assignment, game tier).
 
     Assignments already checked are never re-sampled within a run. The cache
     is lock-protected so sweep evaluations may run from worker threads.
@@ -362,22 +368,22 @@ class CachingEvaluator:
 
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
-        self._cache: dict[tuple[str, int], FitnessEstimate] = {}
+        self._cache: dict[tuple[Assignment, int], FitnessEstimate] = {}
         self._lock = threading.Lock()
         self.games_used = 0
         self.fresh_evaluations = 0
 
     def peek(self, x: Assignment, n_games: int) -> Optional[FitnessEstimate]:
         with self._lock:
-            return self._cache.get((format_assignment(x), n_games))
+            return self._cache.get((x, n_games))
 
     def seed_cache(self, x: Assignment, n_games: int, est: FitnessEstimate) -> None:
         with self._lock:
-            self._cache[(format_assignment(x), n_games)] = est
+            self._cache[(x, n_games)] = est
 
     def estimate(self, x: Assignment, n_games: int) -> tuple[FitnessEstimate, bool]:
         """Return (estimate, fresh); fresh is False on a cache hit."""
-        key = (format_assignment(x), n_games)
+        key = (x, n_games)
         with self._lock:
             hit = self._cache.get(key)
         if hit is not None:

@@ -7,6 +7,8 @@ formats. Operations never mutate their inputs.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -106,28 +108,61 @@ def adjacent_transposition_diff(
     return (a[i], a[j]), i + 1
 
 
-def enumerate_insertion_neighbors(x: Assignment) -> list[tuple[Move, Assignment]]:
-    """All distinct assignments one insertion move away from `x`.
+class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
+    """The distinct insertion neighbours of `x` as a lazy, read-only sequence.
+
+    Entries are (move, assignment) pairs sorted by move descriptor: element
+    id, then target rank. An adjacent swap is reachable from both of its
+    elements; it is listed once, under the smaller id, so the element at
+    0-based position p has n-1 moves, less one for each neighbour with a
+    smaller id. Construction sorts the elements once and records each one's
+    offset into the order; `len` is (n-1)**2 and each lookup bisects the
+    offsets and builds one assignment, in O(n). Iteration walks the lookups
+    in order.
+    """
+
+    def __init__(self, x: Assignment):
+        self.x = x
+        n = len(x)
+        # (element, 1-based from rank, lowest and highest excluded target rank)
+        self._rows: list[tuple[int, int, int, int]] = []
+        self._offsets: list[int] = []
+        total = 0
+        for p, element in sorted(enumerate(x), key=lambda pe: pe[1]):
+            lo = p if p > 0 and x[p - 1] < element else p + 1
+            hi = p + 2 if p + 1 < n and x[p + 1] < element else p + 1
+            self._rows.append((element, p + 1, lo, hi))
+            self._offsets.append(total)
+            total += n - 1 - (hi - lo)
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> tuple[Move, Assignment]:
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"neighbour index {index} out of range for {self._len} entries")
+        k = bisect.bisect_right(self._offsets, i) - 1
+        element, from_rank, lo, hi = self._rows[k]
+        to_rank = i - self._offsets[k] + 1
+        if to_rank >= lo:
+            to_rank += hi - lo + 1
+        return Move(element, from_rank, to_rank), insertion_move(self.x, element, to_rank)
+
+
+def enumerate_insertion_neighbors(x: Assignment) -> InsertionNeighborhood:
+    """All distinct assignments one insertion move away from `x`, lazily.
 
     Adjacent swaps are reachable from both sides (move the left element right,
-    or the right element left); duplicates collapse to one entry keyed by the
-    resulting assignment, keeping the lexicographically smallest descriptor.
-    The identity is excluded. Entries come back sorted by descriptor, so the
-    order is deterministic for seeded sampling.
+    or the right element left); each is listed once, under the smaller
+    descriptor. The identity is excluded. Entries are sorted by descriptor,
+    so the order is deterministic for seeded sampling. Building the sequence
+    costs O(n log n) and each entry O(n); iterating yields all (n-1)**2.
     """
-    n = len(x)
-    best: dict[Assignment, Move] = {}
-    for element in x:
-        from_rank = rank_of(x, element)
-        for to_rank in range(1, n + 1):
-            if to_rank == from_rank:
-                continue
-            move = Move(element, from_rank, to_rank)
-            neighbor = insertion_move(x, element, to_rank)
-            seen = best.get(neighbor)
-            if seen is None or move < seen:
-                best[neighbor] = move
-    return sorted(((m, a) for a, m in best.items()), key=lambda pair: pair[0])
+    return InsertionNeighborhood(x)
 
 
 def move_between(a: Assignment, b: Assignment) -> Move:

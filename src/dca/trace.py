@@ -195,17 +195,25 @@ class RunContext:
 
     Trace writing is funnelled through this single object: phases call
     checkpoint() at their natural boundaries and the attached sink (if any)
-    appends everything new.
+    appends everything new. Records enter through add(), which also keeps the
+    lookups by assignment and by test id and the best mean seen so far.
     """
 
     next_id: int = 0
     records: list[TraceRecord] = field(default_factory=list)
-    ids: dict[str, int] = field(default_factory=dict)
+    ids: dict[Assignment, int] = field(default_factory=dict)
     sink: Optional[TraceSink] = None
+    best_mean: Optional[float] = field(default=None, init=False)
+    by_id: dict[int, TraceRecord] = field(default_factory=dict, init=False, repr=False)
 
     def add(self, record: TraceRecord) -> TraceRecord:
         self.records.append(record)
-        self.ids[format_assignment(record.assignment)] = record.test_id
+        self.ids[record.assignment] = record.test_id
+        # The phase-2 re-evaluation reuses a phase-1 test id; the first row
+        # stored under an id is the one its annotations belong to.
+        self.by_id.setdefault(record.test_id, record)
+        if self.best_mean is None or record.mean > self.best_mean:
+            self.best_mean = record.mean
         return record
 
     def checkpoint(self) -> None:
@@ -218,10 +226,7 @@ class RunContext:
         return i
 
     def id_of(self, x: Assignment) -> Optional[int]:
-        return self.ids.get(format_assignment(x))
+        return self.ids.get(x)
 
     def record_by_id(self, test_id: int) -> Optional[TraceRecord]:
-        for record in self.records:
-            if record.test_id == test_id:
-                return record
-        return None
+        return self.by_id.get(test_id)

@@ -186,6 +186,37 @@ class TestInsertionProposer:
             move, candidate = proposer.propose(X34, g12)
             assert candidate in neighborhood
 
+    def test_lazy_neighborhood_draws_match_a_materialised_list(self, monkeypatch):
+        # n=40 under ~30 constraints consistent with a hidden order: the same
+        # seed must walk through the same 200 proposals whether the proposer
+        # indexes the lazy sequence or a list built from it.
+        rnd = random.Random(40)
+        order = list(range(1, 41))
+        rnd.shuffle(order)
+        graph = ConstraintGraph()
+        while len(graph.edges()) < 30:
+            i, j = sorted(rnd.sample(range(40), 2))
+            graph.try_add(RankConstraint(order[i], order[j]))
+        start = tuple(rnd.sample(order, 40))
+
+        def walk():
+            proposer = InsertionProposer(np.random.default_rng(8), pool_size=8)
+            current, proposals = start, []
+            for _ in range(200):
+                proposals.append(proposer.propose(current, graph))
+                current = proposals[-1][1]
+            return proposals
+
+        lazy = walk()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "dca.annealer.enumerate_insertion_neighbors",
+                lambda x: list(enumerate_insertion_neighbors(x)),
+            )
+            materialised = walk()
+        assert lazy == materialised
+        assert len(set(lazy)) > 100
+
 
 class TestScriptedProposer:
     def test_replays_moves_in_order(self, fixtures_dir):
@@ -212,7 +243,7 @@ def table3_run(fixtures_dir, g12):
     proposer = ScriptedProposer(load_scripted_moves(fixtures_dir / FIXTURE_MOVES))
     run = RunContext()
     run.next_id = 36  # continue numbering after the climbing phase
-    run.ids["2 3 5 4 8 10 11 9 6 7"] = 34
+    run.ids[X34] = 34
     result = run_phase2(
         X34,
         CachingEvaluator(oracle),

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dca.errors import ConfigError, EmptyBatchError, OracleIOError, ReplayMissError
+from dca.errors import (
+    ConfigError,
+    ElementNotFoundError,
+    EmptyBatchError,
+    OracleIOError,
+    ReplayMissError,
+)
 from dca.evaluation import (
     CachingEvaluator,
     ExactOracle,
@@ -31,7 +37,7 @@ from dca.evaluation import (
     significant_difference,
 )
 from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
-from dca.perm import parse_assignment
+from dca.perm import parse_assignment, rank_of
 
 # Pinned digests of the shipped table transcriptions; any drift fails loudly.
 FIXTURE_SHA256 = {
@@ -395,3 +401,18 @@ class TestLandscapeConfig:
     def test_json_serializable(self):
         doc = unit_landscape((1, 2, 3), sigma=0.5).to_config()
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestTrueFitness:
+    @given(st.permutations(list(range(1, 31))), st.permutations(list(range(1, 31))))
+    def test_matches_the_rank_lookup_sum_bit_for_bit(self, target, x):
+        weights = {e: 1.0 / (e + 0.3) for e in target}
+        landscape = HiddenTargetLandscape(target=tuple(target), weights=weights)
+        expected = -sum(
+            weights[e] * abs(rank_of(tuple(x), e) - rank_of(tuple(target), e)) for e in target
+        )
+        assert landscape.true_fitness(tuple(x)) == expected
+
+    def test_missing_element_is_an_error(self):
+        with pytest.raises(ElementNotFoundError):
+            unit_landscape((1, 2, 3)).true_fitness((1, 2, 4))

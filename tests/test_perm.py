@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dca.errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
 from dca.perm import (
+    Move,
     adjacent_transposition_diff,
     as_assignment,
     enumerate_insertion_neighbors,
@@ -159,6 +160,36 @@ class TestEnumerateInsertionNeighbors:
         for move, a in entries:
             assert insertion_move(x, move.element, move.to_rank) == a
             assert rank_of(x, move.element) == move.from_rank
+
+
+def materialised_insertion_neighbors(x):
+    """The eager enumeration the lazy sequence replaced: every move, dedup, sort."""
+    best = {}
+    for element in x:
+        from_rank = rank_of(x, element)
+        for to_rank in range(1, len(x) + 1):
+            if to_rank == from_rank:
+                continue
+            move = Move(element, from_rank, to_rank)
+            neighbor = insertion_move(x, element, to_rank)
+            if neighbor not in best or move < best[neighbor]:
+                best[neighbor] = move
+    return sorted(((m, a) for a, m in best.items()), key=lambda pair: pair[0])
+
+
+class TestLazyNeighborhood:
+    @given(permutations_strategy(30))
+    def test_indexing_and_iteration_match_the_materialised_list(self, x):
+        lazy = enumerate_insertion_neighbors(x)
+        reference = materialised_insertion_neighbors(x)
+        size = len(reference)
+        assert len(lazy) == size == (len(x) - 1) ** 2
+        assert list(lazy) == reference
+        assert [lazy[i] for i in range(size)] == reference
+        assert [lazy[i] for i in range(-size, 0)] == reference
+        for bad in (size, size + 1, -size - 1):
+            with pytest.raises(IndexError):
+                lazy[bad]
 
 
 class TestSerialization:
