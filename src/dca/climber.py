@@ -254,18 +254,17 @@ def induce_from_sweep(
         decision = InductionDecision(constraint=constraint, outcome=outcome, ranks=(lo_rank, hi_rank))
         decisions.append(decision)
         if run is not None and outcome in (AddOutcome.ADDED.value, NOT_INDUCED):
-            row = run.record_by_id(max(lo.test_id, hi.test_id))
-            if row is not None:
-                row.annotations.append(
-                    ConstraintNote(
-                        induced=outcome == AddOutcome.ADDED.value,
-                        before=before,
-                        after=after,
-                        tests=(lo.test_id, hi.test_id),
-                        gap=gap,
-                        threshold=threshold,
-                    )
-                )
+            run.annotate(
+                max(lo.test_id, hi.test_id),
+                ConstraintNote(
+                    induced=outcome == AddOutcome.ADDED.value,
+                    before=before,
+                    after=after,
+                    tests=(lo.test_id, hi.test_id),
+                    gap=gap,
+                    threshold=threshold,
+                ),
+            )
     return decisions
 
 

@@ -8,6 +8,7 @@ an external evaluator over a line-delimited JSON protocol.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -243,7 +244,10 @@ class ReplayFixture:
                 est = FitnessEstimate(mean=float(mean_s), se=float(se_s), n_games=int(n_s))
             except ValueError as err:
                 raise ConfigError(f"{path}: unparseable replay line {raw!r}") from err
-            records[format_assignment(parse_assignment(key))] = est
+            key = format_assignment(parse_assignment(key))
+            if key in records:
+                raise ConfigError(f"{path}: assignment {key!r} appears more than once")
+            records[key] = est
         if not records:
             raise ConfigError(f"{path}: replay fixture holds no records")
         return cls(records=records, path=path)
@@ -331,10 +335,18 @@ class SubprocessOracle(Oracle):
         return decode_response(line)
 
     def close(self) -> None:
-        if self._child is not None and self._child.poll() is None:
-            self._child.stdin.close()
-            self._child.wait(timeout=5)
-        self._child = None
+        """Close the child's pipes and reap it; a child still running after `timeout` is killed."""
+        child, self._child = self._child, None
+        if child is None:
+            return
+        with contextlib.suppress(OSError):  # a dead child's stdin may hold an unflushable request
+            child.stdin.close()
+        try:
+            child.wait(timeout=self.timeout)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+        child.stdout.close()
 
 
 def encode_request(x: Assignment, n_games: int, seed: int) -> str:
@@ -354,9 +366,17 @@ def decode_response(line: str) -> FitnessEstimate:
     if missing:
         raise OracleIOError(f"evaluator response missing fields {sorted(missing)}", payload=line)
     try:
-        return FitnessEstimate(mean=float(doc["mean"]), se=float(doc["se"]), n_games=int(doc["n"]))
-    except (TypeError, ValueError) as err:
+        est = FitnessEstimate(mean=float(doc["mean"]), se=float(doc["se"]), n_games=int(doc["n"]))
+    except (TypeError, ValueError, OverflowError) as err:
         raise OracleIOError(f"evaluator response fields unusable: {err}", payload=line) from err
+    # A NaN mean would silently disable the noise gate and the sweep stop rule.
+    if not (math.isfinite(est.mean) and math.isfinite(est.se)):
+        raise OracleIOError("evaluator response has a non-finite mean or se", payload=line)
+    if est.se < 0:
+        raise OracleIOError(f"evaluator response has a negative se {est.se}", payload=line)
+    if est.n_games < 1:
+        raise OracleIOError(f"evaluator response has n={est.n_games} < 1 games", payload=line)
+    return est
 
 
 class CachingEvaluator:
@@ -376,10 +396,6 @@ class CachingEvaluator:
     def peek(self, x: Assignment, n_games: int) -> Optional[FitnessEstimate]:
         with self._lock:
             return self._cache.get((x, n_games))
-
-    def seed_cache(self, x: Assignment, n_games: int, est: FitnessEstimate) -> None:
-        with self._lock:
-            self._cache[(x, n_games)] = est
 
     def estimate(self, x: Assignment, n_games: int) -> tuple[FitnessEstimate, bool]:
         """Return (estimate, fresh); fresh is False on a cache hit."""

@@ -47,7 +47,7 @@ from .evaluation import (
     format_se,
 )
 from .perm import Assignment, as_assignment, format_assignment, parse_assignment
-from .trace import RunContext, TraceRecord, TraceSink, dump_trace, trace_to_csv
+from .trace import RunContext, TraceRecord, TraceSink
 
 BRUTE_FORCE_MAX_N = 9
 
@@ -260,7 +260,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        run.sink = TraceSink(out / "trace.jsonl")
+        run.sink = TraceSink(out)
     evaluator1 = CachingEvaluator(oracle1)
     try:
         p1 = run_phase1(cfg.initial, evaluator1, cfg.phase1, run=run)
@@ -317,10 +317,13 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
 
 
 def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:
+    """Write the run's constraint graph (edge list and DOT) and summary.json.
+
+    The trace itself is not written here: the run's TraceSink streams both
+    trace.jsonl and trace.csv into the same directory at every checkpoint.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.jsonl").write_text(dump_trace(summary.trace))
-    (out / "trace.csv").write_text(trace_to_csv(summary.trace))
     (out / "constraints.txt").write_text(to_edge_list_text(summary.phase1.graph))
     (out / "ranking.dot").write_text(to_dot(summary.phase1.graph))
     (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -256,6 +256,12 @@ class TestReplayOracle:
         with pytest.raises(ConfigError):
             ReplayFixture.load(bad)
 
+    def test_repeated_assignment_rejected(self, tmp_path):
+        bad = tmp_path / "repeat.replay"
+        bad.write_text("# dca-replay v1\n1 2 3 | -1.0 | 0.1 | 10\n2 1 3 | -2.0 | 0.1 | 10\n1  2 3 | -3.0 | 0.1 | 10\n")
+        with pytest.raises(ConfigError, match="'1 2 3' appears more than once"):
+            ReplayFixture.load(bad)
+
 
 ECHO_EVALUATOR = (
     "import sys, json\n"
@@ -327,6 +333,14 @@ class TestSubprocessOracle:
         finally:
             oracle.close()
 
+    def test_close_kills_a_child_that_ignores_eof(self):
+        oracle = SubprocessOracle([sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5)
+        child = oracle._ensure_child()
+        started = time.perf_counter()
+        oracle.close()
+        assert time.perf_counter() - started < 5.0
+        assert child.returncode is not None
+
     def test_request_golden_serialization(self):
         line = encode_request((2, 1), 10, 7)
         assert line == '{"assignment":[2,1],"games":10,"seed":7}'
@@ -334,6 +348,26 @@ class TestSubprocessOracle:
     def test_response_ignores_unknown_fields(self):
         est = decode_response('{"mean": -2.0, "se": 0.1, "n": 64, "novel": true}')
         assert est == FitnessEstimate(-2.0, 0.1, 64)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"mean": NaN, "se": 0.1, "n": 64}', "non-finite"),
+            ('{"mean": -Infinity, "se": 0.1, "n": 64}', "non-finite"),
+            ('{"mean": -2.0, "se": Infinity, "n": 64}', "non-finite"),
+            ('{"mean": -2.0, "se": NaN, "n": 64}', "non-finite"),
+            ('{"mean": -2.0, "se": -0.1, "n": 64}', "negative se"),
+            ('{"mean": -2.0, "se": 0.1, "n": 0}', "n=0"),
+            ('{"mean": -2.0, "se": 0.1, "n": Infinity}', "unusable"),
+        ],
+    )
+    def test_untrustworthy_responses_are_rejected(self, line, message):
+        with pytest.raises(OracleIOError, match=message) as exc:
+            decode_response(line)
+        assert exc.value.payload == line
+
+    def test_the_zero_se_conventions_are_accepted(self):
+        assert decode_response('{"mean": -2.0, "se": 0.0, "n": 1}') == FitnessEstimate(-2.0, 0.0, 1)
 
 
 class TestCachingEvaluator:

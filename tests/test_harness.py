@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 from itertools import permutations
@@ -202,8 +203,6 @@ class TestRunExperiment:
         assert [r.to_dict() for r in parsed] == [r.to_dict() for r in summary.trace]
 
     def test_csv_export_parses_back(self, tmp_path):
-        import csv
-
         summary = run_experiment(synthetic_config(), out_dir=tmp_path / "out")
         with open(tmp_path / "out" / "trace.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -213,7 +212,7 @@ class TestRunExperiment:
 
     def test_interrupted_run_leaves_a_parseable_trace_prefix(self, tmp_path):
         # An oracle failure mid-run must still leave complete, annotated
-        # rows on disk: the file is appended at sweep boundaries only.
+        # rows on disk in both trace files.
         fixture = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
         truncated = dict(list(fixture.records.items())[:8])
         fixture_path = tmp_path / "short.replay"
@@ -226,6 +225,13 @@ class TestRunExperiment:
         prefix = read_trace(out / "trace.jsonl")
         assert [r.test_id for r in prefix] == list(range(8))
         assert any(r.annotations for r in prefix)
+        with open(out / "trace.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["test_id"]) for row in rows] == list(range(8))
+        assert [row["annotations"] for row in rows] == [
+            "; ".join(f"{n.before}<{n.after}" if n.induced else f"[{n.before}<{n.after}]" for n in r.annotations)
+            for r in prefix
+        ]
 
 
 class TestExportDag:
