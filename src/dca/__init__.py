@@ -14,7 +14,6 @@ from .annealer import (
     TemperatureSchedule,
     acceptance_probability,
     run_phase2,
-    temperature_at,
 )
 from .climber import (
     Phase1Config,
@@ -30,10 +29,7 @@ from .constraints import (
     Evidence,
     RankConstraint,
     count_linear_extensions,
-    satisfies,
     topological_orders_sample,
-    transitive_reduction,
-    violations,
 )
 from .evaluation import (
     CachingEvaluator,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constraints import ConstraintGraph
-from .errors import ConfigError, DcaError, InvalidTemperatureError
+from .errors import ConfigError, InvalidTemperatureError
 from .evaluation import CachingEvaluator, FitnessEstimate
 from .perm import (
     Assignment,
@@ -66,10 +66,6 @@ class TemperatureSchedule:
         return self.t0 - k * self.dt
 
 
-def temperature_at(schedule: TemperatureSchedule, k: int) -> float:
-    return schedule.at(k)
-
-
 def acceptance_probability(f_current: float, f_candidate: float, temperature: float) -> float:
     """Metropolis acceptance for a maximised mean: 1 when not worse, else exp(-delta/T)."""
     if temperature <= 0:
@@ -78,6 +74,10 @@ def acceptance_probability(f_current: float, f_candidate: float, temperature: fl
     if delta <= 0:
         return 1.0
     return math.exp(-delta / temperature)
+
+
+# Pools an InsertionProposer draws before it scans the whole neighbourhood.
+POOL_ROUNDS = 8
 
 
 class Proposer:
@@ -94,7 +94,7 @@ class InsertionProposer(Proposer):
     survivor with ties broken uniformly. The neighbourhood is a lazy sequence
     (`InsertionNeighborhood`), so building it costs O(n log n) and each draw
     O(n) plus one violation count. If a whole pool is discarded it redraws;
-    after `max_retries` exhausted pools it scans all (n-1)**2 neighbours and
+    after `POOL_ROUNDS` exhausted pools it scans all (n-1)**2 neighbours and
     returns a minimal-violation admissible one, so random bad luck cannot
     push the walk out of the constrained region. Only when no neighbour at
     all stays within the current violation count (the region is a single
@@ -102,40 +102,41 @@ class InsertionProposer(Proposer):
     produced.
     """
 
-    def __init__(self, rng: np.random.Generator, pool_size: int = 8, max_retries: int = 8):
+    def __init__(self, rng: np.random.Generator, pool_size: int = 8):
         if pool_size < 1:
             raise ConfigError(f"pool size must be >= 1, got {pool_size}")
         self.rng = rng
         self.pool_size = pool_size
-        self.max_retries = max_retries
+
+    def _pick(
+        self, scored: list[tuple[int, Move, Assignment]], limit: int
+    ) -> Optional[tuple[Move, Assignment]]:
+        """A uniform draw among the least-violating scored neighbours within `limit`, if any."""
+        admissible = [(v, move, x) for v, move, x in scored if v <= limit]
+        if not admissible:
+            return None
+        best_v = min(v for v, _, _ in admissible)
+        finalists = [(move, x) for v, move, x in admissible if v == best_v]
+        return finalists[int(self.rng.integers(len(finalists)))]
 
     def propose(self, current: Assignment, graph: ConstraintGraph) -> tuple[Move, Assignment]:
         neighbors = enumerate_insertion_neighbors(current)
-        current_violations = graph.violations(current)
-        fallback: Optional[tuple[int, Move, Assignment]] = None
-        for _ in range(self.max_retries):
+        limit = graph.violations(current)
+        drawn: list[tuple[int, Move, Assignment]] = []
+        for _ in range(POOL_ROUNDS):
             draws = [
                 neighbors[int(i)] for i in self.rng.integers(len(neighbors), size=self.pool_size)
             ]
             scored = [(graph.violations(x), move, x) for move, x in draws]
-            for v, move, x in scored:
-                if fallback is None or v < fallback[0]:
-                    fallback = (v, move, x)
-            survivors = [(v, move, x) for v, move, x in scored if v <= current_violations]
-            if survivors:
-                best_v = min(v for v, _, _ in survivors)
-                finalists = [(move, x) for v, move, x in survivors if v == best_v]
-                pick = int(self.rng.integers(len(finalists)))
-                return finalists[pick]
-        scored_all = [(graph.violations(x), move, x) for move, x in neighbors]
-        admissible = [(v, move, x) for v, move, x in scored_all if v <= current_violations]
-        if admissible:
-            best_v = min(v for v, _, _ in admissible)
-            finalists = [(move, x) for v, move, x in admissible if v == best_v]
-            pick = int(self.rng.integers(len(finalists)))
-            return finalists[pick]
-        assert fallback is not None
-        return fallback[1], fallback[2]
+            pick = self._pick(scored, limit)
+            if pick is not None:
+                return pick
+            drawn += scored
+        pick = self._pick([(graph.violations(x), move, x) for move, x in neighbors], limit)
+        if pick is not None:
+            return pick
+        _, move, x = min(drawn, key=lambda s: s[0])  # the first least-violating draw
+        return move, x
 
 
 class ScriptedProposer(Proposer):
@@ -222,11 +223,7 @@ def run_phase2(
     # Mandatory high-precision re-evaluation of the incumbent at phase entry.
     # When the start was already traced (a continued run), the re-test keeps
     # its original test id, matching the printed tables.
-    try:
-        current_est, fresh = evaluator.estimate(start, config.n_games_hi)
-    except DcaError as err:
-        err.partial_trace = list(run.records)  # type: ignore[attr-defined]
-        raise
+    current_est, _ = evaluator.estimate(start, config.n_games_hi)
     prior_id = run.id_of(start)
     reeval_id = prior_id if prior_id is not None else run.fresh_id()
     emit(
@@ -250,26 +247,19 @@ def run_phase2(
     for k in range(schedule.steps):
         temperature = schedule.at(k)
         _, candidate = proposer.propose(current, graph)
-        try:
-            cand_est, fresh = evaluator.estimate(candidate, config.n_games_hi)
-        except DcaError as err:
-            err.partial_trace = list(run.records)  # type: ignore[attr-defined]
-            raise
+        cand_est, fresh = evaluator.estimate(candidate, config.n_games_hi)
         delta = current_est.mean - cand_est.mean
+        probability = acceptance_probability(current_est.mean, cand_est.mean, temperature)
         if delta <= 0:
-            probability = 1.0
             decision = DECISION_IMPROVED
-            accept = True
             improved += 1
+        elif acceptance_rng.random() < probability:
+            decision = DECISION_ACCEPTED_WORSE
+            accepted_worse += 1
         else:
-            probability = acceptance_probability(current_est.mean, cand_est.mean, temperature)
-            draw = float(acceptance_rng.random())
-            accept = draw < probability
-            decision = DECISION_ACCEPTED_WORSE if accept else DECISION_REJECTED_WORSE
-            if accept:
-                accepted_worse += 1
-            else:
-                rejected_worse += 1
+            decision = DECISION_REJECTED_WORSE
+            rejected_worse += 1
+        accept = decision != DECISION_REJECTED_WORSE
 
         if cand_est.mean > best_est.mean:
             marker = MARKER_STAR

@@ -7,15 +7,15 @@ import json
 import sys
 from pathlib import Path
 
-from .annealer import TemperatureSchedule
-from .constraints import from_edge_list_text
+from .annealer import TemperatureSchedule, run_phase2
+from .climber import run_phase1
+from .constraints import from_edge_list_text, to_edge_list_text
 from .errors import DcaError
-from .evaluation import CachingEvaluator, HiddenTargetLandscape, format_mean
+from .evaluation import HiddenTargetLandscape, format_mean
 from .harness import (
     RunConfig,
+    assemble,
     brute_force_optimum,
-    build_oracle,
-    derive_seed,
     export_dag,
     graph_from_trace,
     packaged_fixtures_dir,
@@ -78,25 +78,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_phase1(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(RunConfig.from_json_file(args.config), args)
-    from .trace import RunContext
-
-    evaluator = CachingEvaluator(build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle")))
-    run = RunContext()
-    from .climber import run_phase1
-
-    result = run_phase1(cfg.initial, evaluator, cfg.phase1, run=run)
+    with assemble(cfg, args.out) as parts:
+        result = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
     print(f"best: {format_assignment(result.best)}  mean {format_mean(result.best_estimate.mean)}")
     for d in result.decisions:
         tag = f"{d.constraint.before}<{d.constraint.after}"
         print(f"  {d.outcome}: {tag}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        from .constraints import to_edge_list_text
-        from .trace import dump_trace
-
-        (out / "trace.jsonl").write_text(dump_trace(run.records))
-        (out / "constraints.txt").write_text(to_edge_list_text(result.graph))
+        (Path(args.out) / "constraints.txt").write_text(to_edge_list_text(result.graph))
     return 0
 
 
@@ -104,37 +93,18 @@ def cmd_phase2(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(RunConfig.from_json_file(args.config), args)
     graph = from_edge_list_text(Path(args.graph).read_text())
     start = parse_assignment(args.start)
-    import numpy as np
-
-    from .annealer import InsertionProposer, ScriptedProposer, load_scripted_moves, run_phase2
-    from .trace import RunContext
-
-    oracle_spec = cfg.oracle_phase2 if cfg.oracle_phase2 is not None else cfg.oracle
-    evaluator = CachingEvaluator(build_oracle(oracle_spec, derive_seed(cfg.seed, "oracle")))
-    if cfg.script_moves:
-        proposer = ScriptedProposer(load_scripted_moves(cfg.script_moves))
-    else:
-        proposer = InsertionProposer(
-            np.random.default_rng(derive_seed(cfg.seed, "proposer")), cfg.phase2.pool_size
+    with assemble(cfg, args.out) as parts:
+        result = run_phase2(
+            start,
+            parts.evaluator2,
+            graph,
+            cfg.schedule,
+            cfg.phase2,
+            proposer=parts.proposer,
+            acceptance_rng=parts.acceptance_rng,
+            run=parts.run,
         )
-    run = RunContext()
-    result = run_phase2(
-        start,
-        evaluator,
-        graph,
-        cfg.schedule,
-        cfg.phase2,
-        proposer=proposer,
-        acceptance_rng=np.random.default_rng(derive_seed(cfg.seed, "acceptance")),
-        run=run,
-    )
     print(f"best: {format_assignment(result.best)}  mean {format_mean(result.best_estimate.mean)}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        from .trace import dump_trace
-
-        (out / "trace.jsonl").write_text(dump_trace(run.records))
     return 0
 
 

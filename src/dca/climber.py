@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .constraints import AddOutcome, ConstraintGraph, Evidence, RankConstraint
-from .errors import ConfigError, DcaError
+from .errors import ConfigError
 from .evaluation import CachingEvaluator, FitnessEstimate, significant_difference
 from .perm import Assignment, adjacent_transposition_diff, insertion_move, rank_of
 from .trace import (
@@ -113,10 +113,6 @@ class Phase1Result:
         }
 
 
-def _propagate_with_trace(err: DcaError, run: RunContext) -> None:
-    err.partial_trace = list(run.records)  # type: ignore[attr-defined]
-
-
 def run_sweep(
     element: int,
     baseline: Assignment,
@@ -144,11 +140,7 @@ def run_sweep(
             est, fresh = baseline_estimate, False
         else:
             x = insertion_move(baseline, element, rank)
-            try:
-                est, fresh = evaluator.estimate(x, config.n_games)
-            except DcaError as err:
-                _propagate_with_trace(err, run)
-                raise
+            est, fresh = evaluator.estimate(x, config.n_games)
         if fresh:
             test_id = run.fresh_id()
             improves = run.best_mean is not None and est.mean > run.best_mean
@@ -287,11 +279,7 @@ def run_phase1(
     run = run if run is not None else RunContext()
     evaluations_before = evaluator.fresh_evaluations
 
-    try:
-        baseline_estimate, fresh = evaluator.estimate(x0, config.n_games_baseline)
-    except DcaError as err:
-        _propagate_with_trace(err, run)
-        raise
+    baseline_estimate, fresh = evaluator.estimate(x0, config.n_games_baseline)
     if fresh:
         run.add(
             TraceRecord(

@@ -118,13 +118,6 @@ class ConstraintGraph:
     def satisfies(self, x: Assignment) -> bool:
         return self.violations(x) == 0
 
-    def copy(self) -> "ConstraintGraph":
-        g = ConstraintGraph()
-        g._edges = dict(self._edges)
-        g._succ = {k: set(v) for k, v in self._succ.items()}
-        g._redundant = list(self._redundant)
-        return g
-
     def _reaches_avoiding(self, a: int, b: int, skip: tuple[int, int]) -> bool:
         stack = [a]
         seen = {a}
@@ -149,18 +142,6 @@ class ConstraintGraph:
         for node in self.nodes:
             reduced._succ.setdefault(node, set())
         return reduced
-
-
-def violations(x: Assignment, g: ConstraintGraph) -> int:
-    return g.violations(x)
-
-
-def satisfies(x: Assignment, g: ConstraintGraph) -> bool:
-    return g.satisfies(x)
-
-
-def transitive_reduction(g: ConstraintGraph) -> ConstraintGraph:
-    return g.transitive_reduction()
 
 
 def _predecessor_masks(g: ConstraintGraph, elements: Sequence[int]) -> list[int]:

@@ -90,6 +90,9 @@ class HiddenTargetLandscape:
         missing = set(self.target) - set(self.weights)
         if missing:
             raise ConfigError(f"missing weights for elements {sorted(missing)}")
+        stray = set(self.weights) - set(self.target)
+        if stray:
+            raise ConfigError(f"weights for elements {sorted(stray)} outside the target")
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -126,6 +129,8 @@ class HiddenTargetLandscape:
         elif isinstance(raw_w, dict):
             weights = {int(k): float(v) for k, v in raw_w.items()}
         else:
+            if len(raw_w) != len(target):
+                raise ConfigError(f"{len(raw_w)} weights for a target of {len(target)} elements")
             weights = {e: float(w) for e, w in zip(target, raw_w)}
         return cls(target=target, weights=weights, sigma=float(doc.get("sigma", 0.0)))
 

@@ -1,4 +1,4 @@
-"""Experiment runner: configuration, seeding, persistence, and verification.
+"""Experiment runner: configuration, run assembly, seeding, persistence, and verification.
 
 A run is fully determined by its RunConfig (the master seed is mandatory;
 there is no wall-clock seeding). Per-component RNG streams are derived from
@@ -13,10 +13,11 @@ import importlib.resources
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .annealer import (
     run_phase2,
 )
 from .climber import Phase1Config, Phase1Result, run_phase1
-from .constraints import ConstraintGraph, to_dot, to_edge_list_text
+from .constraints import ConstraintGraph, Evidence, RankConstraint, to_dot, to_edge_list_text
 from .errors import ConfigError
 from .evaluation import (
     CachingEvaluator,
@@ -244,71 +245,84 @@ class ExperimentSummary:
         }
 
 
-def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> ExperimentSummary:
-    """Phase 1 then phase 2 on the induced graph, with trace persistence."""
+@dataclass(frozen=True)
+class RunParts:
+    """The parts one run is wired from; the phases share one evaluator without oracle_phase2."""
+
+    run: RunContext
+    evaluator1: CachingEvaluator
+    evaluator2: CachingEvaluator
+    proposer: Proposer
+    acceptance_rng: np.random.Generator
+
+
+@contextmanager
+def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[RunParts]:
+    """Validate `cfg` and wire one run's parts; on exit close the oracles and flush the trace.
+
+    With `out_dir` the run's TraceSink streams trace.jsonl and trace.csv there.
+    """
     cfg.validate()
     oracle1 = build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle"))
-    oracle2 = (
-        build_oracle(cfg.oracle_phase2, derive_seed(cfg.seed, "oracle"))
-        if cfg.oracle_phase2 is not None
-        else None
-    )
-    scripted = load_scripted_moves(cfg.script_moves) if cfg.script_moves else None
-
-    started = time.perf_counter()
+    oracle2 = oracle1
     run = RunContext()
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        run.sink = TraceSink(out)
-    evaluator1 = CachingEvaluator(oracle1)
     try:
-        p1 = run_phase1(cfg.initial, evaluator1, cfg.phase1, run=run)
-        evaluator2 = CachingEvaluator(oracle2) if oracle2 is not None else evaluator1
+        if cfg.oracle_phase2 is not None:
+            oracle2 = build_oracle(cfg.oracle_phase2, derive_seed(cfg.seed, "oracle"))
         proposer: Proposer
-        if scripted is not None:
-            proposer = ScriptedProposer(scripted)
+        if cfg.script_moves:
+            proposer = ScriptedProposer(load_scripted_moves(cfg.script_moves))
         else:
             proposer = InsertionProposer(
                 np.random.default_rng(derive_seed(cfg.seed, "proposer")), cfg.phase2.pool_size
             )
-        p2 = run_phase2(
-            p1.best,
-            evaluator2,
-            p1.graph,
-            cfg.schedule,
-            cfg.phase2,
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            run.sink = TraceSink(out_dir)
+        evaluator1 = CachingEvaluator(oracle1)
+        yield RunParts(
+            run=run,
+            evaluator1=evaluator1,
+            evaluator2=evaluator1 if oracle2 is oracle1 else CachingEvaluator(oracle2),
             proposer=proposer,
             acceptance_rng=np.random.default_rng(derive_seed(cfg.seed, "acceptance")),
-            run=run,
         )
     finally:
         oracle1.close()
-        if oracle2 is not None:
+        if oracle2 is not oracle1:
             oracle2.close()
         if run.sink is not None:
             run.checkpoint()
             run.sink.close()
 
-    # Game accounting: when the phases share one evaluator, phase 2's share
-    # is whatever accrued after phase 1 finished.
-    if evaluator2 is evaluator1:
-        phase1_games = sum(r.n_games for r in run.records if r.phase == 1)
-        phase2_games = evaluator1.games_used - phase1_games
-        phase2_tests = evaluator1.fresh_evaluations - p1.evaluations_used
-    else:
-        phase1_games = evaluator1.games_used
-        phase2_games = evaluator2.games_used
-        phase2_tests = evaluator2.fresh_evaluations
 
+def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> ExperimentSummary:
+    """Phase 1 then phase 2 on the induced graph, with trace persistence."""
+    with assemble(cfg, out_dir) as parts:
+        started = time.perf_counter()
+        p1 = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
+        phase1_games = parts.evaluator1.games_used
+        # Phase 2's share of its evaluator is whatever accrues from here on.
+        games_before = parts.evaluator2.games_used
+        tests_before = parts.evaluator2.fresh_evaluations
+        p2 = run_phase2(
+            p1.best,
+            parts.evaluator2,
+            p1.graph,
+            cfg.schedule,
+            cfg.phase2,
+            proposer=parts.proposer,
+            acceptance_rng=parts.acceptance_rng,
+            run=parts.run,
+        )
     summary = ExperimentSummary(
         phase1=p1,
         phase2=p2,
-        trace=list(run.records),
+        trace=list(parts.run.records),
         phase1_tests=p1.evaluations_used,
         phase1_games=phase1_games,
-        phase2_tests=phase2_tests,
-        phase2_games=phase2_games,
+        phase2_tests=parts.evaluator2.fresh_evaluations - tests_before,
+        phase2_games=parts.evaluator2.games_used - games_before,
         wall_time_s=time.perf_counter() - started,
     )
     if out_dir is not None:
@@ -338,8 +352,6 @@ def export_dag(graph: ConstraintGraph, path: str | Path, reduce: bool = False) -
 
 def graph_from_trace(records: list[TraceRecord]) -> ConstraintGraph:
     """Rebuild the induced constraint set from trace annotations."""
-    from .constraints import Evidence, RankConstraint
-
     g = ConstraintGraph()
     for record in records:
         for note in record.annotations:

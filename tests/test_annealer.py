@@ -16,7 +16,6 @@ from dca.annealer import (
     acceptance_probability,
     load_scripted_moves,
     run_phase2,
-    temperature_at,
 )
 from dca.constraints import (
     ConstraintGraph,
@@ -117,8 +116,8 @@ class TestAcceptanceProbability:
 class TestTemperatureSchedule:
     def test_default_endpoints(self):
         schedule = TemperatureSchedule()
-        assert temperature_at(schedule, 0) == pytest.approx(0.10)
-        assert temperature_at(schedule, 9) == pytest.approx(0.01)
+        assert schedule.at(0) == pytest.approx(0.10)
+        assert schedule.at(9) == pytest.approx(0.01)
 
     def test_constant_schedule(self):
         schedule = TemperatureSchedule(t0=0.3, dt=0.0, steps=5)
@@ -178,6 +177,37 @@ class TestInsertionProposer:
         proposer = InsertionProposer(np.random.default_rng(1), pool_size=4)
         _, candidate = proposer.propose((1, 2, 3), g)
         assert g.violations(candidate) == 1
+
+    def test_dry_pools_end_in_a_seeded_full_scan(self):
+        # A chain over 1..6 leaves only the moves of element 7 admissible
+        # (6 of 36 neighbours), so single-draw pools often run dry and the
+        # proposer scans the whole neighbourhood.
+        class Counting(ConstraintGraph):
+            calls = 0
+
+            def violations(self, x):
+                Counting.calls += 1
+                return super().violations(x)
+
+        g = Counting()
+        for a in range(1, 6):
+            g.try_add(RankConstraint(a, a + 1))
+        proposer = InsertionProposer(np.random.default_rng(2), pool_size=1)
+        current, walk, scans = (7, 1, 2, 3, 4, 5, 6), [], 0
+        for _ in range(24):
+            Counting.calls = 0
+            _, current = proposer.propose(current, g)
+            scans += Counting.calls > 1 + 8
+            walk.append(" ".join(map(str, current)))
+        assert scans > 0
+        assert walk == [
+            "1 2 3 7 4 5 6", "1 2 3 4 5 6 7", "7 1 2 3 4 5 6", "1 7 2 3 4 5 6",
+            "1 2 3 4 5 7 6", "1 7 2 3 4 5 6", "1 2 3 4 5 7 6", "1 2 3 4 5 6 7",
+            "1 2 7 3 4 5 6", "7 1 2 3 4 5 6", "1 2 7 3 4 5 6", "1 2 3 4 5 6 7",
+            "1 7 2 3 4 5 6", "1 2 3 4 7 5 6", "1 2 3 4 5 7 6", "1 2 7 3 4 5 6",
+            "1 2 3 4 7 5 6", "1 2 3 7 4 5 6", "7 1 2 3 4 5 6", "1 2 3 4 7 5 6",
+            "1 2 3 7 4 5 6", "1 7 2 3 4 5 6", "1 2 3 7 4 5 6", "1 2 3 4 5 6 7",
+        ]
 
     def test_proposals_are_insertion_neighbors(self, g12):
         proposer = InsertionProposer(np.random.default_rng(11), pool_size=8)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from dca.cli import main
-from dca.harness import packaged_fixtures_dir
+from dca.evaluation import FitnessEstimate, Oracle, ReplayFixture
+from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, packaged_fixtures_dir
+from dca.trace import dump_trace, read_trace, trace_to_csv
 
 
 @pytest.fixture
@@ -55,6 +57,64 @@ def test_phase2_from_edge_list(synthetic_config_file, tmp_path, capsys):
          "--start", "2 4 1 3", "--steps", "4"]
     ) == 0
     assert "best:" in capsys.readouterr().out
+
+
+def phase_argv(command, config, tmp_path):
+    argv = [command, "--config", str(config)]
+    if command == "phase2":
+        graph_file = tmp_path / "edges.txt"
+        graph_file.write_text("2 < 4\n")
+        argv += ["--graph", str(graph_file), "--start", "2 4 1 3"]
+    return argv
+
+
+def assert_trace_files_match_their_rows(out):
+    records = read_trace(out / "trace.jsonl")
+    assert (out / "trace.jsonl").read_text() == dump_trace(records)
+    assert (out / "trace.csv").read_text() == trace_to_csv(records)
+    return records
+
+
+@pytest.mark.parametrize("command", ["phase1", "phase2"])
+def test_phase_commands_stream_both_trace_files(command, synthetic_config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = phase_argv(command, synthetic_config_file, tmp_path) + ["--out", str(out)]
+    assert main(argv) == 0
+    records = assert_trace_files_match_their_rows(out)
+    assert records and {r.phase for r in records} == {int(command[-1])}
+
+
+def test_interrupted_phase1_leaves_a_trace_prefix(tmp_path, capsys):
+    fixture = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
+    short = tmp_path / "short.replay"
+    ReplayFixture(records=dict(list(fixture.records.items())[:8])).save(short)
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps(
+        {"initial": TABLE_X0, "seed": 5, "oracle": {"kind": "replay", "path": str(short)}}
+    ))
+    out = tmp_path / "out"
+    assert main(["phase1", "--config", str(config), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    prefix = assert_trace_files_match_their_rows(out)
+    assert [r.test_id for r in prefix] == list(range(8))
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("command", ["phase1", "phase2"])
+def test_phase_commands_close_their_oracle(
+    command, fails, synthetic_config_file, tmp_path, monkeypatch, capsys
+):
+    closed = []
+    monkeypatch.setattr(Oracle, "close", lambda self: closed.append(self))
+    if fails:
+        # A fixture holding neither command's first assignment fails at once.
+        fixture = tmp_path / "other.replay"
+        ReplayFixture(records={"1 2 3 4": FitnessEstimate(0.0, 0.1, 10)}).save(fixture)
+        doc = json.loads(synthetic_config_file.read_text())
+        doc["oracle"] = {"kind": "replay", "path": str(fixture)}
+        synthetic_config_file.write_text(json.dumps(doc))
+    assert main(phase_argv(command, synthetic_config_file, tmp_path)) == (2 if fails else 0)
+    assert len(closed) == 1
 
 
 def test_induction_scope_flag(synthetic_config_file, capsys):

@@ -371,9 +371,10 @@ class TestClimbingProperties:
     def test_oracle_errors_carry_the_partial_trace(self, fixtures_dir, tmp_path):
         fixture = ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2)
         truncated = ReplayFixture(records=dict(list(fixture.records.items())[:5]))
-        with pytest.raises(ReplayMissError) as exc:
-            run_phase1(X0, CachingEvaluator(ReplayOracle(truncated)))
-        assert len(exc.value.partial_trace) == 5
+        run = RunContext()
+        with pytest.raises(ReplayMissError):
+            run_phase1(X0, CachingEvaluator(ReplayOracle(truncated)), run=run)
+        assert len(run.records) == 5
 
     def test_bad_element_order_rejected(self):
         landscape = unit_landscape((1, 2, 3))

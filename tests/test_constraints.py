@@ -12,12 +12,9 @@ from dca.constraints import (
     RankConstraint,
     count_linear_extensions,
     from_edge_list_text,
-    satisfies,
     to_dot,
     to_edge_list_text,
     topological_orders_sample,
-    transitive_reduction,
-    violations,
 )
 from dca.errors import IncompatibleAssignmentsError, InvalidConstraintError
 from dca.harness import TABLE_CONSTRAINTS
@@ -82,24 +79,24 @@ class TestTryAdd:
 
 class TestViolations:
     def test_phase2_winner_is_feasible(self, g12):
-        assert violations(X44, g12) == 0
-        assert satisfies(X44, g12)
+        assert g12.violations(X44) == 0
+        assert g12.satisfies(X44)
 
     def test_phase1_winner_violates_two(self, g12):
-        assert violations(X34, g12) == 2
+        assert g12.violations(X34) == 2
         pos = {e: i for i, e in enumerate(X34)}
         violated = {(a, b) for a, b in g12.edge_pairs() if pos[a] > pos[b]}
         assert violated == {(6, 10), (7, 10)}
-        assert not satisfies(X34, g12)
+        assert not g12.satisfies(X34)
 
     def test_empty_graph(self):
         g = ConstraintGraph()
-        assert violations(X34, g) == 0
-        assert satisfies(X34, g)
+        assert g.violations(X34) == 0
+        assert g.satisfies(X34)
 
     def test_missing_element_rejected(self, g12):
         with pytest.raises(IncompatibleAssignmentsError):
-            violations((1, 2, 3), g12)
+            g12.violations((1, 2, 3))
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(11)
@@ -111,7 +108,7 @@ class TestViolations:
             for _ in range(12):
                 a, b = rng.sample(range(1, n + 1), 2)
                 g.try_add(RankConstraint(a, b))
-                current = violations(x, g)
+                current = g.violations(x)
                 assert current >= previous
                 previous = current
 
@@ -131,21 +128,21 @@ class TestTransitiveReduction:
         g = ConstraintGraph()
         for a, b in ((2, 3), (3, 10), (2, 10)):
             g.try_add(RankConstraint(a, b))
-        reduced = transitive_reduction(g)
+        reduced = g.transitive_reduction()
         assert reduced.edge_pairs() == {(2, 3), (3, 10)}
 
     def test_paper_graph_reduces_to_ten_edges(self, g12):
         # Two of the twelve induced edges are transitively implied (the chains
         # through 6 and through 7/8 already connect 3 and 4 to 10), so the
         # true reduction drops them while preserving reachability.
-        reduced = transitive_reduction(g12)
+        reduced = g12.transitive_reduction()
         assert reduced.edge_pairs() == set(TABLE_CONSTRAINTS) - {(3, 10), (4, 10)}
 
     def test_empty_graph(self):
-        assert transitive_reduction(ConstraintGraph()).edge_pairs() == set()
+        assert ConstraintGraph().transitive_reduction().edge_pairs() == set()
 
     def test_reachability_preserved_exactly(self, g12):
-        reduced = transitive_reduction(g12)
+        reduced = g12.transitive_reduction()
         nodes = sorted(g12.nodes)
         for a in nodes:
             for b in nodes:
@@ -159,7 +156,7 @@ class TestTransitiveReduction:
             for _ in range(15):
                 a, b = rng.sample(range(1, 8), 2)
                 g.try_add(RankConstraint(a, b))
-            reduced = transitive_reduction(g)
+            reduced = g.transitive_reduction()
             assert reduced.edge_pairs() <= g.edge_pairs()
             for a in g.nodes:
                 for b in g.nodes:

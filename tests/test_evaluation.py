@@ -432,6 +432,16 @@ class TestLandscapeConfig:
         with pytest.raises(ConfigError):
             HiddenTargetLandscape(target=(1, 2, 3), weights={1: 1.0}, sigma=0.0)
 
+    def test_weights_outside_the_target_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[9\]"):
+            HiddenTargetLandscape.from_config(
+                {"target": "1 2 3", "weights": {"1": 1, "2": 1, "3": 1, "9": 5}}
+            )
+
+    def test_weight_list_longer_than_the_target_rejected(self):
+        with pytest.raises(ConfigError):
+            HiddenTargetLandscape.from_config({"target": "1 2 3", "weights": [1, 2, 3, 4]})
+
     def test_json_serializable(self):
         doc = unit_landscape((1, 2, 3), sigma=0.5).to_config()
         assert json.loads(json.dumps(doc)) == doc

@@ -179,6 +179,25 @@ class TestRunExperiment:
         assert summary.phase2_tests == 11
         assert summary.phase2_games == 176000
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_evaluator_splits_games_and_tests_by_phase(self, seed):
+        # Phase 2 re-reads some phase-1 estimates from the shared cache;
+        # those cached rows cost no games and count as no tests.
+        cfg = RunConfig.from_dict({
+            "initial": "10 9 8 7 6 5 4 3 2 1",
+            "seed": seed,
+            "oracle": {"kind": "synthetic", "target": "3 1 4 10 5 9 2 6 8 7", "sigma": 1.9},
+            "phase1": {"games": 100, "baseline_games": 200},
+            "phase2": {"games": 400, "steps": 60, "t0": 1.0, "dt": 0.015},
+        })
+        summary = run_experiment(cfg)
+        phase1 = [r for r in summary.trace if r.phase == 1]
+        fresh2 = [r for r in summary.trace if r.phase == 2 and not r.cached]
+        assert any(r.cached for r in summary.trace)
+        assert summary.phase1_games == sum(r.n_games for r in phase1)
+        assert summary.phase2_games == sum(r.n_games for r in fresh2)
+        assert summary.phase2_tests == len(fresh2)
+
     def test_persistence_writes_the_full_set(self, tmp_path):
         cfg = synthetic_config()
         summary = run_experiment(cfg, out_dir=tmp_path / "out")
