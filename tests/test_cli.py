@@ -162,6 +162,21 @@ def test_brute_with_graph(tmp_path, capsys):
     assert best.index("1") < best.index("3")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"target": "1 2 3", "weights": "abc"},
+        {"target": "1 2 3", "weights": {"1": 1, "2": 1, "x": 1}},
+        {"target": "1 2 3", "sigma": "abc"},
+    ],
+)
+def test_brute_reports_an_unusable_landscape(doc, tmp_path, capsys):
+    landscape = tmp_path / "landscape.json"
+    landscape.write_text(json.dumps(doc))
+    assert main(["brute", "--landscape", str(landscape)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_export_dag_from_trace(synthetic_config_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["optimize", "--config", str(synthetic_config_file), "--out", str(out)])

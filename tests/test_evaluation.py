@@ -4,8 +4,9 @@ import hashlib
 import json
 import math
 import statistics
-import time
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -333,6 +334,60 @@ class TestSubprocessOracle:
         finally:
             oracle.close()
 
+    def test_one_reader_thread_per_child(self):
+        oracle = SubprocessOracle([sys.executable, "-c", ECHO_EVALUATOR], timeout=10)
+        before = threading.active_count()
+        try:
+            for i in range(200):
+                assert oracle.evaluate((2, 1), 10 + i).mean == -1.0
+                assert threading.active_count() <= before + 1
+        finally:
+            oracle.close()
+
+    def test_a_response_written_in_two_flushes_is_one_line(self):
+        halves = (
+            "import sys, time\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.write('{\"mean\": -1.5, \"se\"'); sys.stdout.flush()\n"
+            "    time.sleep(0.1)\n"
+            "    sys.stdout.write(': 0.25, \"n\": 64}\\n'); sys.stdout.flush()\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", halves], timeout=10)
+        try:
+            assert oracle.evaluate((2, 1), 10) == FitnessEstimate(-1.5, 0.25, 64)
+            assert oracle.evaluate((1, 2), 10) == FitnessEstimate(-1.5, 0.25, 64)
+        finally:
+            oracle.close()
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_undecodable_output_fails_without_waiting_for_the_timeout(self):
+        garbage = "import sys\nsys.stdin.readline()\nsys.stdout.buffer.write(b'\\xff\\n')\nsys.stdout.flush()\n"
+        oracle = SubprocessOracle([sys.executable, "-c", garbage], timeout=30)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(OracleIOError, match="closed its output"):
+                oracle.evaluate((2, 1), 10)
+            assert time.perf_counter() - started < 10.0
+        finally:
+            oracle.close()
+
+    def test_a_dead_child_is_reaped_before_its_replacement(self):
+        one_shot = (
+            "import sys, json\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'mean': -1.0, 'se': 0.1, 'n': 5}), flush=True)\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", one_shot], timeout=10)
+        try:
+            oracle.evaluate((1, 2), 5)
+            first = oracle._child
+            first.wait(timeout=10)
+            assert oracle.evaluate((2, 1), 5).mean == -1.0
+            assert oracle._child is not first
+            assert first.stdin.closed and first.stdout.closed
+        finally:
+            oracle.close()
+
     def test_close_kills_a_child_that_ignores_eof(self):
         oracle = SubprocessOracle([sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5)
         child = oracle._ensure_child()
@@ -442,6 +497,24 @@ class TestLandscapeConfig:
         with pytest.raises(ConfigError):
             HiddenTargetLandscape.from_config({"target": "1 2 3", "weights": [1, 2, 3, 4]})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"target": "1 2 3", "weights": "abc"}, "weights must be"),
+            ({"target": "1 2 3", "weights": [1, "x", 1]}, "weight 'x' is not a number"),
+            ({"target": "1 2", "weights": {"1": 1, "x": 1}}, "weight key 'x'"),
+            ({"target": "1 2", "sigma": "abc"}, "sigma 'abc' is not a number"),
+            ({"target": "1 2", "sigma": -1}, "sigma must be finite and >= 0"),
+            ({"target": "1 2", "sigma": float("nan")}, "sigma must be finite"),
+            ({"target": "1 2", "sigma": float("inf")}, "sigma must be finite"),
+            ({"target": "1 2", "weights": [1.0, float("nan")]}, r"non-finite weights .*\[2\]"),
+            ({"target": "1 2", "weights": float("-inf")}, r"non-finite weights .*\[1, 2\]"),
+        ],
+    )
+    def test_unusable_numbers_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            HiddenTargetLandscape.from_config(doc)
+
     def test_json_serializable(self):
         doc = unit_landscape((1, 2, 3), sigma=0.5).to_config()
         assert json.loads(json.dumps(doc)) == doc
@@ -460,3 +533,7 @@ class TestTrueFitness:
     def test_missing_element_is_an_error(self):
         with pytest.raises(ElementNotFoundError):
             unit_landscape((1, 2, 3)).true_fitness((1, 2, 4))
+
+    def test_the_first_missing_element_in_target_order_is_named(self):
+        with pytest.raises(ElementNotFoundError, match="^element 2 not in assignment 1 5 6 4$"):
+            unit_landscape((1, 2, 3, 4)).true_fitness((1, 5, 6, 4))

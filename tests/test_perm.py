@@ -85,6 +85,31 @@ class TestInsertionMove:
         insertion_move(x, 1, 3)
         assert x == (1, 2, 3)
 
+    @given(permutations_strategy(40))
+    def test_equals_the_list_based_move_for_every_element_and_rank(self, x):
+        def list_based(x, element, rank):
+            rest = [e for e in x if e != element]
+            rest.insert(rank - 1, element)
+            return tuple(rest)
+
+        for element in x:
+            for rank in range(1, len(x) + 1):
+                assert insertion_move(x, element, rank) == list_based(x, element, rank)
+
+    @given(permutations_strategy(40), st.data())
+    def test_bad_ranks_and_missing_elements_raise_as_before(self, x, data):
+        n = len(x)
+        element = data.draw(st.sampled_from(x))
+        for rank in (0, -1, n + 1):
+            with pytest.raises(InvalidRankError, match=f"^rank {rank} out of bounds for n={n}$"):
+                insertion_move(x, element, rank)
+            # The rank is checked before the element.
+            with pytest.raises(InvalidRankError):
+                insertion_move(x, n + 1, rank)
+        expected = f"^element {n + 1} not in assignment {format_assignment(x)}$"
+        with pytest.raises(ElementNotFoundError, match=expected):
+            insertion_move(x, n + 1, 1)
+
 
 class TestAdjacentTranspositionDiff:
     def test_swap_at_rank_3(self):
@@ -206,6 +231,16 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(IncompatibleAssignmentsError):
             parse_assignment("1 2 x")
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**9), max_size=50), st.booleans())
+    def test_format_equals_joining_str(self, ids, as_tuple):
+        x = tuple(ids) if as_tuple else ids
+        assert format_assignment(x) == " ".join(str(e) for e in x)
+
+    def test_an_equal_float_leaves_no_spelling_for_ints(self):
+        big = 10**12 + 7  # beyond the ids the other tests format
+        assert format_assignment([float(big)]) == "1000000000007.0"
+        assert format_assignment((big,)) == "1000000000007"
 
 
 class TestMoveBetween:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from dca.harness import RunConfig, run_experiment
@@ -99,3 +102,45 @@ class TestTraceSink:
         assert len(late) > n
         assert any(late) == (scope == "all-pairs")
         assert_files_match(tmp_path, summary.trace)
+
+
+def shuffled(n, tag):
+    return random.Random(tag).sample(range(1, n + 1), n)
+
+
+# sha256 of (trace.jsonl, trace.csv) for two seeded runs, recorded before the
+# phase-1 probe functions (insertion_move, true_fitness, format_assignment)
+# were rewritten for speed. Fractional weights make the landscape sum's
+# addition order visible in the means.
+GOLDEN_TRACES = {
+    "exact-40": (
+        {
+            "initial": shuffled(40, "golden:exact:initial"),
+            "seed": 11,
+            "oracle": {"kind": "exact", "target": shuffled(40, "golden:exact:target"),
+                       "weights": [0.1 * k + 0.3 for k in range(40)]},
+            "phase2": {"steps": 1},
+        },
+        "85b6f1727ddea59b6d0a5250ee95fa11162af00a4d6c9270ad42e63b409eb850",
+        "67a721ae5100c8ab218e63415026dc2dc8c2db3f4cfde0619d495933a2ef9072",
+    ),
+    "synthetic-12": (
+        {
+            "initial": shuffled(12, "golden:synthetic:initial"),
+            "seed": 5,
+            "oracle": {"kind": "synthetic", "target": shuffled(12, "golden:synthetic:target"),
+                       "sigma": 1.9},
+            "phase2": {"steps": 5},
+        },
+        "d604a665ee4fe37917615f8858bc9129b87ed4e770dfc02b49f349cb0d1e412b",
+        "b04149c2e3b0843c43801f61396c957234050eb035a099ced5fc73403af26fca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_seeded_trace_bytes_are_pinned(name, tmp_path):
+    doc, jsonl_sha, csv_sha = GOLDEN_TRACES[name]
+    run_experiment(RunConfig.from_dict(doc), tmp_path)
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (digest("trace.jsonl"), digest("trace.csv")) == (jsonl_sha, csv_sha)
