@@ -29,7 +29,6 @@ from .constraints import (
     Evidence,
     RankConstraint,
     count_linear_extensions,
-    topological_orders_sample,
 )
 from .evaluation import (
     CachingEvaluator,
@@ -50,7 +49,6 @@ from .harness import (
     RunConfig,
     brute_force_optimum,
     derive_seed,
-    export_dag,
     paper_replay_config,
     replay_verify,
     run_experiment,
@@ -66,6 +64,6 @@ from .perm import (
     parse_assignment,
     rank_of,
 )
-from .trace import RunContext, TraceRecord, read_trace, write_trace
+from .trace import RunContext, TraceRecord, read_trace
 
 __version__ = "0.1.0"

@@ -48,10 +48,10 @@ class TemperatureSchedule:
     steps: int = 10
 
     def validate(self) -> None:
-        if self.t0 <= 0:
-            raise ConfigError(f"initial temperature must be positive, got {self.t0}")
-        if self.dt < 0:
-            raise ConfigError(f"temperature decrement must be >= 0, got {self.dt}")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ConfigError(f"initial temperature must be finite and positive, got {self.t0}")
+        if not (math.isfinite(self.dt) and self.dt >= 0):
+            raise ConfigError(f"temperature decrement must be finite and >= 0, got {self.dt}")
         if self.steps < 1:
             raise ConfigError(f"step count must be >= 1, got {self.steps}")
         final = self.t0 - (self.steps - 1) * self.dt
@@ -176,10 +176,7 @@ class Phase2Config:
 class Phase2Result:
     best: Assignment
     best_estimate: FitnessEstimate
-    current: Assignment
-    current_estimate: FitnessEstimate
     trace: list[TraceRecord]
-    steps_run: int
     accepted_worse: int = 0
     rejected_worse: int = 0
     improved: int = 0
@@ -193,9 +190,9 @@ def run_phase2(
     evaluator: CachingEvaluator,
     graph: ConstraintGraph,
     schedule: TemperatureSchedule,
-    config: Optional[Phase2Config] = None,
-    proposer: Optional[Proposer] = None,
-    acceptance_rng: Optional[np.random.Generator] = None,
+    config: Phase2Config,
+    proposer: Proposer,
+    acceptance_rng: np.random.Generator,
     run: Optional[RunContext] = None,
 ) -> Phase2Result:
     """Anneal from `start` after re-estimating it at the high-precision budget.
@@ -205,13 +202,8 @@ def run_phase2(
     leaves the acceptance draws unchanged. Worse-but-accepted candidates
     replace the current state but never the best.
     """
-    config = config or Phase2Config()
     config.validate()
     schedule.validate()
-    if proposer is None:
-        proposer = InsertionProposer(np.random.default_rng(0), config.pool_size)
-    if acceptance_rng is None:
-        acceptance_rng = np.random.default_rng(1)
     run = run if run is not None else RunContext()
 
     phase2_records: list[TraceRecord] = []
@@ -295,10 +287,7 @@ def run_phase2(
     return Phase2Result(
         best=best,
         best_estimate=best_est,
-        current=current,
-        current_estimate=current_est,
         trace=phase2_records,
-        steps_run=schedule.steps,
         accepted_worse=accepted_worse,
         rejected_worse=rejected_worse,
         improved=improved,

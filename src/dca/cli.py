@@ -9,14 +9,13 @@ from pathlib import Path
 
 from .annealer import TemperatureSchedule, run_phase2
 from .climber import run_phase1
-from .constraints import from_edge_list_text, to_edge_list_text
+from .constraints import from_edge_list_text, to_dot, to_edge_list_text
 from .errors import DcaError
 from .evaluation import HiddenTargetLandscape, format_mean
 from .harness import (
     RunConfig,
     assemble,
     brute_force_optimum,
-    export_dag,
     graph_from_trace,
     packaged_fixtures_dir,
     replay_verify,
@@ -124,9 +123,8 @@ def cmd_brute(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dag(args: argparse.Namespace) -> int:
-    records = read_trace(args.trace)
-    graph = graph_from_trace(records)
-    export_dag(graph, args.out, reduce=args.reduce)
+    graph = graph_from_trace(read_trace(args.trace))
+    args.out.write_text(to_dot(graph, reduce=args.reduce))
     print(f"wrote {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ are reported but induce nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,8 +42,8 @@ class Phase1Config:
     def validate(self) -> None:
         if self.n_games < 1 or self.n_games_baseline < 1:
             raise ConfigError("game budgets must be >= 1")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
         if self.induction_scope not in (SCOPE_FLANKING, SCOPE_ALL_PAIRS):
             raise ConfigError(f"unknown induction scope {self.induction_scope!r}")
 
@@ -51,7 +52,6 @@ class Phase1Config:
 class SweepProbe:
     """One tested rank within a sweep."""
 
-    rank: int
     assignment: Assignment
     estimate: FitnessEstimate
     test_id: int
@@ -61,11 +61,18 @@ class SweepProbe:
 @dataclass
 class SweepState:
     element: int
-    baseline: Assignment
-    probes: dict[int, SweepProbe]
+    probes: dict[int, SweepProbe]  # by rank, in ascending rank order
     stop_rank: Optional[int]
-    best_rank: int
-    best_new_rank: Optional[int]
+
+    @property
+    def best_rank(self) -> int:
+        """The rank of the best tested mean; the lowest such rank on a tie."""
+        return max(self.probes, key=lambda r: self.probes[r].estimate.mean)
+
+    @property
+    def best_new_rank(self) -> Optional[int]:
+        """The rank of the best freshly tested mean, if any; the lowest such rank on a tie."""
+        return max(self.fresh_ranks(), key=lambda r: self.probes[r].estimate.mean, default=None)
 
     @property
     def best_probe(self) -> SweepProbe:
@@ -96,7 +103,6 @@ class Phase1Result:
     best: Assignment
     best_estimate: FitnessEstimate
     graph: ConstraintGraph
-    trace: list[TraceRecord]
     sweeps: list[SweepState]
     decisions: list[InductionDecision]
     evaluations_used: int
@@ -159,7 +165,7 @@ def run_sweep(
         else:
             known = run.id_of(x)
             test_id = known if known is not None else -1
-        probes[rank] = SweepProbe(rank=rank, assignment=x, estimate=est, test_id=test_id, fresh=fresh)
+        probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
 
         if rank >= 2 and probes[rank].estimate.mean < probes[rank - 1].estimate.mean:
             prev = rank - 1
@@ -169,24 +175,7 @@ def run_sweep(
                 stop_rank = rank
                 break
 
-    best_rank = min(probes)
-    for rank in sorted(probes):
-        if probes[rank].estimate.mean > probes[best_rank].estimate.mean:
-            best_rank = rank
-    fresh_ranks = [r for r in sorted(probes) if probes[r].fresh]
-    best_new_rank: Optional[int] = None
-    for rank in fresh_ranks:
-        if best_new_rank is None or probes[rank].estimate.mean > probes[best_new_rank].estimate.mean:
-            best_new_rank = rank
-
-    return SweepState(
-        element=element,
-        baseline=baseline,
-        probes=probes,
-        stop_rank=stop_rank,
-        best_rank=best_rank,
-        best_new_rank=best_new_rank,
-    )
+    return SweepState(element=element, probes=probes, stop_rank=stop_rank)
 
 
 def _candidate_pairs(sweep: SweepState, scope: str) -> list[tuple[int, int]]:
@@ -207,8 +196,8 @@ def induce_from_sweep(
     sweep: SweepState,
     graph: ConstraintGraph,
     tau: float,
-    scope: str = SCOPE_FLANKING,
-    run: Optional[RunContext] = None,
+    scope: str,
+    run: RunContext,
 ) -> list[InductionDecision]:
     """Turn the sweep's neighbouring-rank comparisons into ranking constraints.
 
@@ -245,7 +234,7 @@ def induce_from_sweep(
             outcome = NOT_INDUCED
         decision = InductionDecision(constraint=constraint, outcome=outcome, ranks=(lo_rank, hi_rank))
         decisions.append(decision)
-        if run is not None and outcome in (AddOutcome.ADDED.value, NOT_INDUCED):
+        if outcome in (AddOutcome.ADDED.value, NOT_INDUCED):
             run.annotate(
                 max(lo.test_id, hi.test_id),
                 ConstraintNote(
@@ -264,7 +253,6 @@ def run_phase1(
     x0: Assignment,
     evaluator: CachingEvaluator,
     config: Optional[Phase1Config] = None,
-    graph: Optional[ConstraintGraph] = None,
     run: Optional[RunContext] = None,
 ) -> Phase1Result:
     """Process each element once, sweeping and inducing; return the incumbent.
@@ -275,7 +263,7 @@ def run_phase1(
     """
     config = config or Phase1Config()
     config.validate()
-    graph = graph if graph is not None else ConstraintGraph()
+    graph = ConstraintGraph()
     run = run if run is not None else RunContext()
     evaluations_before = evaluator.fresh_evaluations
 
@@ -316,7 +304,6 @@ def run_phase1(
         best=best,
         best_estimate=best_estimate,
         graph=graph,
-        trace=list(run.records),
         sweeps=sweeps,
         decisions=decisions,
         evaluations_used=evaluator.fresh_evaluations - evaluations_before,

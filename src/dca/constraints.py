@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import IncompatibleAssignmentsError, InvalidConstraintError
 from .perm import Assignment, format_assignment
 
@@ -50,7 +48,6 @@ class ConstraintGraph:
     def __init__(self, edges: Iterable[RankConstraint] = ()):
         self._edges: dict[tuple[int, int], RankConstraint] = {}
         self._succ: dict[int, set[int]] = {}
-        self._redundant: list[RankConstraint] = []
         for c in edges:
             self.try_add(c)
 
@@ -64,10 +61,6 @@ class ConstraintGraph:
 
     def edge_pairs(self) -> set[tuple[int, int]]:
         return set(self._edges)
-
-    def redundant_edges(self) -> list[RankConstraint]:
-        """Edges that were submitted but already implied at the time."""
-        return list(self._redundant)
 
     def reaches(self, a: int, b: int) -> bool:
         """True when a path a -> ... -> b exists in the core set."""
@@ -96,7 +89,6 @@ class ConstraintGraph:
         if c.pair() in self._edges:
             return AddOutcome.DUPLICATE
         if c.before in self._succ and self.reaches(c.before, c.after):
-            self._redundant.append(c)
             return AddOutcome.REDUNDANT
         if c.after in self._succ and self.reaches(c.after, c.before):
             return AddOutcome.CYCLE_REJECTED
@@ -144,15 +136,6 @@ class ConstraintGraph:
         return reduced
 
 
-def _predecessor_masks(g: ConstraintGraph, elements: Sequence[int]) -> list[int]:
-    index = {e: i for i, e in enumerate(elements)}
-    masks = [0] * len(elements)
-    for before, after in g.edge_pairs():
-        if before in index and after in index:
-            masks[index[after]] |= 1 << index[before]
-    return masks
-
-
 def count_linear_extensions(g: ConstraintGraph, elements: Sequence[int]) -> int:
     """Number of total orders over `elements` consistent with the partial order.
 
@@ -161,7 +144,11 @@ def count_linear_extensions(g: ConstraintGraph, elements: Sequence[int]) -> int:
     n = len(elements)
     if n > 20:
         raise IncompatibleAssignmentsError(f"extension counting capped at 20 elements, got {n}")
-    masks = _predecessor_masks(g, elements)
+    index = {e: i for i, e in enumerate(elements)}
+    masks = [0] * n  # bit j of masks[i]: element j must precede element i
+    for before, after in g.edge_pairs():
+        if before in index and after in index:
+            masks[index[after]] |= 1 << index[before]
     counts = [0] * (1 << n)
     counts[0] = 1
     for subset in range(1 << n):
@@ -175,37 +162,6 @@ def count_linear_extensions(g: ConstraintGraph, elements: Sequence[int]) -> int:
                 continue
             counts[subset | bit] += counts[subset]
     return counts[(1 << n) - 1]
-
-
-def topological_orders_sample(
-    g: ConstraintGraph,
-    k: int,
-    seed: int,
-    elements: Optional[Sequence[int]] = None,
-) -> list[Assignment]:
-    """Draw k linear extensions reproducibly from `seed`.
-
-    Each draw runs a Kahn peel picking uniformly among the currently
-    available elements; every returned order satisfies the graph.
-    """
-    if k < 1:
-        raise InvalidConstraintError(f"sample count must be >= 1, got {k}")
-    elems = sorted(g.nodes) if elements is None else list(elements)
-    masks = _predecessor_masks(g, elems)
-    rng = np.random.default_rng(seed)
-    out: list[Assignment] = []
-    for _ in range(k):
-        placed = 0
-        order: list[int] = []
-        remaining = list(range(len(elems)))
-        while remaining:
-            ready = [i for i in remaining if not masks[i] & ~placed]
-            pick = ready[int(rng.integers(len(ready)))]
-            remaining.remove(pick)
-            placed |= 1 << pick
-            order.append(elems[pick])
-        out.append(tuple(order))
-    return out
 
 
 def to_edge_list_text(g: ConstraintGraph) -> str:

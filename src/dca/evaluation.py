@@ -136,6 +136,8 @@ class HiddenTargetLandscape:
         kind = doc.get("kind", "hidden-target")
         if kind != "hidden-target":
             raise ConfigError(f"unknown landscape kind {kind!r}")
+        if "target" not in doc:
+            raise ConfigError("landscape missing required key 'target'")
         target = (
             parse_assignment(doc["target"])
             if isinstance(doc["target"], str)
@@ -157,20 +159,12 @@ class HiddenTargetLandscape:
         sigma = _number(float, doc.get("sigma", 0.0), "sigma")
         return cls(target=target, weights=weights, sigma=sigma)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "hidden-target",
-            "target": format_assignment(self.target),
-            "weights": {str(e): w for e, w in self.weights.items()},
-            "sigma": self.sigma,
-        }
-
 
 def _number(kind: type, value, what: str):
     """`kind(value)`, with a value it cannot convert reported as a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{what} {value!r} is not a number") from err
 
 
@@ -183,8 +177,6 @@ def _stream_seed(seed: int, x: Assignment, n_games: int) -> int:
 class Oracle:
     """Evaluation boundary: estimate the fitness of an assignment."""
 
-    name = "oracle"
-
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
         raise NotImplementedError
 
@@ -194,8 +186,6 @@ class Oracle:
 
 class ExactOracle(Oracle):
     """Noise-free oracle over a landscape; se = 0, n_games = 1."""
-
-    name = "exact"
 
     def __init__(self, landscape: HiddenTargetLandscape):
         self.landscape = landscape
@@ -210,8 +200,6 @@ class SyntheticOracle(Oracle):
     Estimates are reproducible per (seed, assignment, n_games) regardless of
     evaluation order, so concurrent callers agree with sequential runs.
     """
-
-    name = "synthetic"
 
     def __init__(self, landscape: HiddenTargetLandscape, seed: int):
         self.landscape = landscape
@@ -235,13 +223,11 @@ class SyntheticOracle(Oracle):
 class PoolOracle(Oracle):
     """Weighted average across an opponent pool of sub-oracles."""
 
-    name = "pool"
-
     def __init__(self, members: Sequence[tuple[Oracle, float]]):
         if not members:
             raise ConfigError("opponent pool cannot be empty")
-        if any(w <= 0 for _, w in members):
-            raise ConfigError("pool weights must be strictly positive")
+        if not all(math.isfinite(w) and w > 0 for _, w in members):
+            raise ConfigError("pool weights must be finite and strictly positive")
         self.members = list(members)
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
@@ -298,8 +284,6 @@ class ReplayFixture:
 class ReplayOracle(Oracle):
     """Return fixture estimates verbatim; unknown assignments fail hard."""
 
-    name = "replay"
-
     def __init__(self, fixture: ReplayFixture):
         self.fixture = fixture
 
@@ -322,11 +306,11 @@ class SubprocessOracle(Oracle):
     that queue.
     """
 
-    name = "subprocess"
-
     def __init__(self, cmd: Sequence[str], timeout: float = 30.0, seed: int = 0):
-        if not cmd:
-            raise ConfigError("subprocess oracle needs a command")
+        if not (isinstance(cmd, (list, tuple)) and cmd and all(isinstance(a, str) for a in cmd)):
+            raise ConfigError(f"subprocess oracle needs a non-empty list of strings as cmd, got {cmd!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(f"subprocess timeout must be finite and positive, got {timeout}")
         self.cmd = list(cmd)
         self.timeout = timeout
         self.seed = seed
@@ -339,13 +323,16 @@ class SubprocessOracle(Oracle):
         """The live child, spawned with one daemon thread feeding its lines to a queue."""
         if self._child is None or self._child.poll() is not None:
             self.close()  # reap a dead child and close its pipes before replacing it
-            self._child = subprocess.Popen(
-                self.cmd,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            try:
+                self._child = subprocess.Popen(
+                    self.cmd,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    bufsize=1,
+                )
+            except OSError as err:  # a missing or non-executable program, say
+                raise OracleIOError(f"cannot start evaluator {self.cmd}: {err}") from err
             self._lines = queue.SimpleQueue()
             self._reader = threading.Thread(
                 target=_pump_lines, args=(self._child.stdout, self._lines), daemon=True
@@ -444,10 +431,6 @@ class CachingEvaluator:
         self._lock = threading.Lock()
         self.games_used = 0
         self.fresh_evaluations = 0
-
-    def peek(self, x: Assignment, n_games: int) -> Optional[FitnessEstimate]:
-        with self._lock:
-            return self._cache.get((x, n_games))
 
     def estimate(self, x: Assignment, n_games: int) -> tuple[FitnessEstimate, bool]:
         """Return (estimate, fresh); fresh is False on a cache hit."""

@@ -44,6 +44,7 @@ from .evaluation import (
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
+    _number,
     format_mean,
     format_se,
 )
@@ -92,12 +93,22 @@ def packaged_fixtures_dir() -> Path:
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _required(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ConfigError(f"{where} missing required key {key!r}")
+    return doc[key]
+
+
 def build_oracle(spec: dict, seed: int) -> Oracle:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"oracle spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "exact":
         _check_keys(spec, {"kind", "target", "weights", "sigma"}, "exact oracle spec")
@@ -109,19 +120,27 @@ def build_oracle(spec: dict, seed: int) -> Oracle:
         )
     if kind == "replay":
         _check_keys(spec, {"kind", "path"}, "replay oracle spec")
-        return ReplayOracle(ReplayFixture.load(spec["path"]))
+        return ReplayOracle(ReplayFixture.load(_required(spec, "path", "replay oracle spec")))
     if kind == "pool":
         _check_keys(spec, {"kind", "members"}, "pool oracle spec")
-        members = []
-        for i, member in enumerate(spec.get("members", [])):
-            _check_keys(member, {"weight", "oracle"}, f"pool member {i}")
-            members.append(
-                (build_oracle(member["oracle"], derive_seed(seed, f"pool-{i}")), float(member["weight"]))
-            )
-        return PoolOracle(members)
+        members = spec.get("members", [])
+        if not isinstance(members, list):
+            raise ConfigError(f"pool members must be a list, got {members!r}")
+        pool = []
+        for i, member in enumerate(members):
+            where = f"pool member {i}"
+            _check_keys(member, {"weight", "oracle"}, where)
+            weight = _number(float, _required(member, "weight", where), "pool weight")
+            oracle = build_oracle(_required(member, "oracle", where), derive_seed(seed, f"pool-{i}"))
+            pool.append((oracle, weight))
+        return PoolOracle(pool)
     if kind == "subprocess":
         _check_keys(spec, {"kind", "cmd", "timeout"}, "subprocess oracle spec")
-        return SubprocessOracle(spec["cmd"], timeout=float(spec.get("timeout", 30.0)), seed=seed)
+        return SubprocessOracle(
+            _required(spec, "cmd", "subprocess oracle spec"),
+            timeout=_number(float, spec.get("timeout", 30.0), "subprocess timeout"),
+            seed=seed,
+        )
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -151,44 +170,51 @@ class RunConfig:
             "run config",
         )
         for section in ("initial", "seed", "oracle"):
-            if section not in doc:
-                raise ConfigError(f"run config missing required key {section!r}")
-        p1 = dict(doc.get("phase1", {}))
+            _required(doc, section, "run config")
+        p1 = doc.get("phase1", {})
         _check_keys(
             p1,
             {"games", "baseline_games", "tau", "element_order", "induction_scope"},
             "phase1 section",
         )
+        element_order = p1.get("element_order")
+        if element_order is not None and not (
+            isinstance(element_order, list) and all(isinstance(e, int) for e in element_order)
+        ):
+            raise ConfigError(f"element_order must be a list of elements, got {element_order!r}")
         phase1 = Phase1Config(
-            n_games=int(p1.get("games", 1000)),
-            n_games_baseline=int(p1.get("baseline_games", 2000)),
-            tau=float(p1.get("tau", 1.0)),
-            element_order=p1.get("element_order"),
+            n_games=_number(int, p1.get("games", 1000), "phase1 games"),
+            n_games_baseline=_number(int, p1.get("baseline_games", 2000), "phase1 baseline_games"),
+            tau=_number(float, p1.get("tau", 1.0), "phase1 tau"),
+            element_order=element_order,
             induction_scope=p1.get("induction_scope", "flanking"),
         )
-        p2 = dict(doc.get("phase2", {}))
+        p2 = doc.get("phase2", {})
         _check_keys(
             p2, {"games", "t0", "dt", "steps", "pool_size", "script_moves"}, "phase2 section"
         )
         schedule = TemperatureSchedule(
-            t0=float(p2.get("t0", 0.10)),
-            dt=float(p2.get("dt", 0.01)),
-            steps=int(p2.get("steps", 10)),
+            t0=_number(float, p2.get("t0", 0.10), "phase2 t0"),
+            dt=_number(float, p2.get("dt", 0.01), "phase2 dt"),
+            steps=_number(int, p2.get("steps", 10), "phase2 steps"),
         )
         phase2 = Phase2Config(
-            n_games_hi=int(p2.get("games", 16000)),
-            pool_size=int(p2.get("pool_size", 8)),
+            n_games_hi=_number(int, p2.get("games", 16000), "phase2 games"),
+            pool_size=_number(int, p2.get("pool_size", 8), "phase2 pool_size"),
         )
+        script_moves = p2.get("script_moves")
+        if script_moves is not None and not isinstance(script_moves, str):
+            raise ConfigError(f"script_moves must be a path, got {script_moves!r}")
         initial = doc["initial"]
         return cls(
             initial=parse_assignment(initial) if isinstance(initial, str) else as_assignment(initial),
-            seed=int(doc["seed"]),
+            seed=_number(int, doc["seed"], "seed"),
             oracle=doc["oracle"],
             oracle_phase2=doc.get("oracle_phase2"),
             phase1=phase1,
             schedule=schedule,
             phase2=phase2,
-            script_moves=Path(p2["script_moves"]) if p2.get("script_moves") else None,
+            script_moves=Path(script_moves) if script_moves else None,
         )
 
     @classmethod
@@ -318,7 +344,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
     summary = ExperimentSummary(
         phase1=p1,
         phase2=p2,
-        trace=list(parts.run.records),
+        trace=parts.run.records,
         phase1_tests=p1.evaluations_used,
         phase1_games=phase1_games,
         phase2_tests=parts.evaluator2.fresh_evaluations - tests_before,
@@ -341,13 +367,6 @@ def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:
     (out / "constraints.txt").write_text(to_edge_list_text(summary.phase1.graph))
     (out / "ranking.dot").write_text(to_dot(summary.phase1.graph))
     (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def export_dag(graph: ConstraintGraph, path: str | Path, reduce: bool = False) -> Path:
-    """Write the constraint DAG as DOT with stable ordering; returns the path."""
-    path = Path(path)
-    path.write_text(to_dot(graph, reduce=reduce))
-    return path
 
 
 def graph_from_trace(records: list[TraceRecord]) -> ConstraintGraph:

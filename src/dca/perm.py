@@ -16,31 +16,22 @@ from .errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidR
 
 Assignment = tuple[int, ...]
 
-INSERTION = "insertion"
-ADJACENT_TRANSPOSITION = "adjacent-transposition"
-
 
 @dataclass(frozen=True, order=True)
 class Move:
-    """One insertion move: take `element` from `from_rank` to `to_rank`.
-
-    Moves by exactly one position are tagged as adjacent transpositions,
-    since removing an element and reinserting it one slot away swaps it
-    with a single neighbour.
-    """
+    """One insertion move: take `element` from `from_rank` to `to_rank`."""
 
     element: int
     from_rank: int
     to_rank: int
 
-    @property
-    def kind(self) -> str:
-        return ADJACENT_TRANSPOSITION if abs(self.from_rank - self.to_rank) == 1 else INSERTION
-
 
 def as_assignment(order: Iterable[int]) -> Assignment:
     """Validate and freeze an element ordering into an Assignment."""
-    x = tuple(int(e) for e in order)
+    try:
+        x = tuple(int(e) for e in order)
+    except (TypeError, ValueError) as err:
+        raise IncompatibleAssignmentsError(f"unparseable assignment {order!r}") from err
     if len(x) < 2:
         raise InvalidRankError(f"assignment needs at least 2 elements, got {len(x)}")
     if len(set(x)) != len(x):
@@ -79,10 +70,7 @@ def format_assignment(x: Sequence[int]) -> str:
 
 
 def parse_assignment(text: str) -> Assignment:
-    try:
-        return as_assignment(int(tok) for tok in text.split())
-    except ValueError as err:
-        raise IncompatibleAssignmentsError(f"unparseable assignment {text!r}") from err
+    return as_assignment(text.split())
 
 
 def rank_of(x: Assignment, element: int) -> int:

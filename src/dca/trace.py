@@ -138,10 +138,6 @@ def dump_trace(records: list[TraceRecord]) -> str:
     return "".join(trace_line(r) for r in records)
 
 
-def write_trace(records: list[TraceRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_trace(records))
-
-
 def read_trace(path: str | Path) -> list[TraceRecord]:
     records = []
     for i, line in enumerate(Path(path).read_text().splitlines()):

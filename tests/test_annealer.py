@@ -17,12 +17,7 @@ from dca.annealer import (
     load_scripted_moves,
     run_phase2,
 )
-from dca.constraints import (
-    ConstraintGraph,
-    RankConstraint,
-    count_linear_extensions,
-    topological_orders_sample,
-)
+from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
 from dca.errors import ConfigError, IncompatibleAssignmentsError, InvalidTemperatureError
 from dca.evaluation import (
     CachingEvaluator,
@@ -55,6 +50,24 @@ P45 = 0.368247504614
 
 def unit_landscape(target, sigma=0.0):
     return HiddenTargetLandscape(target=tuple(target), weights={e: 1.0 for e in target}, sigma=sigma)
+
+
+def topological_orders_sample(g, k, seed, elements=None):
+    """k linear extensions of `g`, each a Kahn peel with a seeded uniform pick among the ready elements."""
+    elems = sorted(g.nodes) if elements is None else list(elements)
+    preds = {e: {a for a, b in g.edge_pairs() if b == e and a in elems} for e in elems}
+    rng = np.random.default_rng(seed)
+    orders = []
+    for _ in range(k):
+        order: list[int] = []
+        remaining = list(elems)
+        while remaining:
+            ready = [e for e in remaining if preds[e] <= set(order)]
+            pick = ready[int(rng.integers(len(ready)))]
+            remaining.remove(pick)
+            order.append(pick)
+        orders.append(tuple(order))
+    return orders
 
 
 class TestAcceptanceProbability:

@@ -193,6 +193,63 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+EXACT = {"kind": "exact", "target": "2 4 1 3"}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param("phase1", "games", "many", "phase1 games 'many' is not a number", id="games"),
+        pytest.param("phase1", "tau", "high", "phase1 tau 'high' is not a number", id="tau"),
+        pytest.param(None, "seed", "abc", "seed 'abc' is not a number", id="seed"),
+        pytest.param(None, "initial", 5, "unparseable assignment 5", id="initial"),
+        pytest.param(None, "initial", ["a", "b"], "unparseable assignment ['a', 'b']", id="initial-ids"),
+        pytest.param("phase2", "script_moves", 5, "script_moves must be a path", id="script-moves"),
+        pytest.param("phase1", "element_order", 5, "element_order must be a list", id="element-order"),
+        pytest.param("phase1", "tau", float("nan"), "tau must be finite", id="tau-nan"),
+        pytest.param("phase2", "t0", float("nan"), "temperature must be finite", id="t0-nan"),
+        pytest.param("phase2", "dt", float("nan"), "decrement must be finite", id="dt-nan"),
+        pytest.param(None, "oracle", "synthetic", "oracle spec must be an object", id="oracle-string"),
+        pytest.param(None, "oracle", {"kind": "exact"}, "missing required key 'target'", id="landscape-target"),
+        pytest.param(None, "oracle", {"kind": "exact", "target": 5}, "unparseable assignment 5", id="target"),
+        pytest.param(None, "oracle", {"kind": "replay"}, "missing required key 'path'", id="replay-path"),
+        pytest.param(None, "oracle", {"kind": "subprocess"}, "missing required key 'cmd'", id="subprocess-cmd"),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": "prog"}, "non-empty list of strings", id="cmd-string"
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "timeout": -1},
+            "timeout must be finite and positive", id="timeout-negative",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["dca-no-such-evaluator"]},
+            "cannot start evaluator ['dca-no-such-evaluator']", id="cmd-missing-program",
+        ),
+        pytest.param(None, "oracle", {"kind": "pool", "members": "abc"}, "members must be a list", id="members"),
+        pytest.param(
+            None, "oracle", {"kind": "pool", "members": [{"weight": 1}]},
+            "pool member 0 missing required key 'oracle'", id="member-oracle",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "pool", "members": [{"weight": "x", "oracle": EXACT}]},
+            "pool weight 'x' is not a number", id="pool-weight",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "pool", "members": [{"weight": float("nan"), "oracle": EXACT}]},
+            "pool weights must be finite", id="pool-weight-nan",
+        ),
+    ],
+)
+def test_malformed_config_values_exit_2(section, key, value, message, synthetic_config_file, capsys):
+    doc = json.loads(synthetic_config_file.read_text())
+    (doc[section] if section else doc)[key] = value
+    synthetic_config_file.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(synthetic_config_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
     fixtures = packaged_fixtures_dir()
     doc = {

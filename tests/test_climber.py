@@ -4,10 +4,14 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dca.climber import (
     NOT_INDUCED,
     Phase1Config,
+    SweepProbe,
+    SweepState,
     run_phase1,
 )
 from dca.constraints import AddOutcome
@@ -15,6 +19,7 @@ from dca.errors import ConfigError, ReplayMissError
 from dca.evaluation import (
     CachingEvaluator,
     ExactOracle,
+    FitnessEstimate,
     HiddenTargetLandscape,
     ReplayFixture,
     ReplayOracle,
@@ -140,6 +145,26 @@ class TestSweepBoundaries:
         _, run = replay_result
         assert run.records[0].n_games == 2000
         assert all(r.n_games == 1000 for r in run.records[1:])
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=12))
+    def test_best_ranks_equal_the_loops_they_replaced(self, rows):
+        # Integer means from a small range, so most sweeps hold ties.
+        probes = {
+            rank: SweepProbe(
+                assignment=(rank,), estimate=FitnessEstimate(float(mean), 0.0, 1), test_id=rank, fresh=fresh
+            )
+            for rank, (mean, fresh) in enumerate(rows, start=1)
+        }
+        best_rank = min(probes)
+        for rank in sorted(probes):
+            if probes[rank].estimate.mean > probes[best_rank].estimate.mean:
+                best_rank = rank
+        best_new_rank = None
+        for rank in [r for r in sorted(probes) if probes[r].fresh]:
+            if best_new_rank is None or probes[rank].estimate.mean > probes[best_new_rank].estimate.mean:
+                best_new_rank = rank
+        sweep = SweepState(element=1, probes=probes, stop_rank=None)
+        assert (sweep.best_rank, sweep.best_new_rank) == (best_rank, best_new_rank)
 
 
 class TestInduction:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import statistics
 import sys
@@ -459,20 +458,12 @@ class TestCachingEvaluator:
             t.start()
         for t in threads:
             t.join()
-        assert evaluator.peek((1, 2, 3), 50) is not None
+        assert evaluator.estimate((1, 2, 3), 50)[1] is False  # a second estimate is a hit
         assert evaluator.games_used == 50 * evaluator.fresh_evaluations
         assert evaluator.fresh_evaluations == 1
 
 
 class TestLandscapeConfig:
-    def test_round_trip(self):
-        landscape = HiddenTargetLandscape(
-            target=(3, 1, 2), weights={1: 1.0, 2: 0.5, 3: 2.0}, sigma=1.9
-        )
-        doc = landscape.to_config()
-        rebuilt = HiddenTargetLandscape.from_config(doc)
-        assert rebuilt == landscape
-
     def test_scalar_weight_shorthand(self):
         landscape = HiddenTargetLandscape.from_config(
             {"target": "2 1 3", "weights": 1.0, "sigma": 0.0}
@@ -514,10 +505,6 @@ class TestLandscapeConfig:
     def test_unusable_numbers_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             HiddenTargetLandscape.from_config(doc)
-
-    def test_json_serializable(self):
-        doc = unit_landscape((1, 2, 3), sigma=0.5).to_config()
-        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestTrueFitness:

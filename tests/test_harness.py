@@ -16,14 +16,13 @@ from dca.harness import (
     RunConfig,
     brute_force_optimum,
     derive_seed,
-    export_dag,
     graph_from_trace,
     packaged_fixtures_dir,
     paper_replay_config,
     replay_verify,
     run_experiment,
 )
-from dca.trace import read_trace, write_trace
+from dca.trace import dump_trace, read_trace
 
 
 def unit_landscape(target, sigma=0.0):
@@ -217,7 +216,7 @@ class TestRunExperiment:
     def test_trace_round_trip_is_lossless(self, tmp_path):
         summary = run_experiment(synthetic_config())
         path = tmp_path / "trace.jsonl"
-        write_trace(summary.trace, path)
+        path.write_text(dump_trace(summary.trace))
         parsed = read_trace(path)
         assert [r.to_dict() for r in parsed] == [r.to_dict() for r in summary.trace]
 
@@ -254,22 +253,6 @@ class TestRunExperiment:
 
 
 class TestExportDag:
-    def test_paper_graph_exports_twelve_edges(self, g12, tmp_path):
-        path = export_dag(g12, tmp_path / "g.dot")
-        dot = path.read_text()
-        assert dot.count("->") == 12
-        assert "  10 -> 11;" in dot
-        assert "  5 -> 4;" in dot
-
-    def test_byte_reproducible(self, g12, tmp_path):
-        a = export_dag(g12, tmp_path / "a.dot").read_bytes()
-        b = export_dag(g12, tmp_path / "b.dot").read_bytes()
-        assert a == b
-
-    def test_empty_graph(self, tmp_path):
-        dot = export_dag(ConstraintGraph(), tmp_path / "e.dot").read_text()
-        assert "->" not in dot
-
     def test_graph_rebuilt_from_trace(self, tmp_path):
         summary = run_experiment(paper_replay_config())
         rebuilt = graph_from_trace(summary.trace)
