@@ -23,6 +23,7 @@ from .perm import (
     Assignment,
     Move,
     enumerate_insertion_neighbors,
+    insertion_move,
     move_between,
     parse_assignment,
 )
@@ -91,15 +92,17 @@ class InsertionProposer(Proposer):
     Draws `pool_size` neighbours uniformly (with replacement) from the
     distinct insertion neighbourhood, discards any that violate more
     constraints than the current assignment, and returns a minimal-violation
-    survivor with ties broken uniformly. The neighbourhood is a lazy sequence
-    (`InsertionNeighborhood`), so building it costs O(n log n) and each draw
-    O(n) plus one violation count. If a whole pool is discarded it redraws;
-    after `POOL_ROUNDS` exhausted pools it scans all (n-1)**2 neighbours and
-    returns a minimal-violation admissible one, so random bad luck cannot
-    push the walk out of the constrained region. Only when no neighbour at
-    all stays within the current violation count (the region is a single
-    point) does the least-violating draw come back, so a proposal is always
-    produced.
+    survivor with ties broken uniformly. Each proposal counts the current
+    assignment's violations once and builds one rank map of it; a drawn
+    neighbour is then only a move (`InsertionNeighborhood.move_at`, O(log n))
+    scored as that count plus `ConstraintGraph.move_delta`, O(deg), and only
+    the returned neighbour's assignment is built. If a whole pool is
+    discarded it redraws; after `POOL_ROUNDS` exhausted pools it scores all
+    (n-1)**2 neighbours the same way, O(n**2 * deg), and returns a
+    minimal-violation admissible one, so random bad luck cannot push the
+    walk out of the constrained region. Only when no neighbour at all stays
+    within the current violation count (the region is a single point) does
+    the least-violating draw come back, so a proposal is always produced.
     """
 
     def __init__(self, rng: np.random.Generator, pool_size: int = 8):
@@ -108,35 +111,36 @@ class InsertionProposer(Proposer):
         self.rng = rng
         self.pool_size = pool_size
 
-    def _pick(
-        self, scored: list[tuple[int, Move, Assignment]], limit: int
-    ) -> Optional[tuple[Move, Assignment]]:
-        """A uniform draw among the least-violating scored neighbours within `limit`, if any."""
-        admissible = [(v, move, x) for v, move, x in scored if v <= limit]
+    def _pick(self, scored: list[tuple[int, Move]], limit: int) -> Optional[Move]:
+        """A uniform draw among the least-violating scored moves within `limit`, if any."""
+        admissible = [(v, move) for v, move in scored if v <= limit]
         if not admissible:
             return None
-        best_v = min(v for v, _, _ in admissible)
-        finalists = [(move, x) for v, move, x in admissible if v == best_v]
+        best_v = min(v for v, _ in admissible)
+        finalists = [move for v, move in admissible if v == best_v]
         return finalists[int(self.rng.integers(len(finalists)))]
 
     def propose(self, current: Assignment, graph: ConstraintGraph) -> tuple[Move, Assignment]:
         neighbors = enumerate_insertion_neighbors(current)
         limit = graph.violations(current)
-        drawn: list[tuple[int, Move, Assignment]] = []
+        rank = dict(zip(current, range(1, len(current) + 1)))
+
+        def score(indices) -> list[tuple[int, Move]]:
+            moves = [neighbors.move_at(i) for i in indices]
+            return [(limit + graph.move_delta(rank, move), move) for move in moves]
+
+        drawn: list[tuple[int, Move]] = []
         for _ in range(POOL_ROUNDS):
-            draws = [
-                neighbors[int(i)] for i in self.rng.integers(len(neighbors), size=self.pool_size)
-            ]
-            scored = [(graph.violations(x), move, x) for move, x in draws]
-            pick = self._pick(scored, limit)
-            if pick is not None:
-                return pick
-            drawn += scored
-        pick = self._pick([(graph.violations(x), move, x) for move, x in neighbors], limit)
-        if pick is not None:
-            return pick
-        _, move, x = min(drawn, key=lambda s: s[0])  # the first least-violating draw
-        return move, x
+            pool = score(self.rng.integers(len(neighbors), size=self.pool_size).tolist())
+            move = self._pick(pool, limit)
+            if move is not None:
+                break
+            drawn += pool
+        else:
+            move = self._pick(score(range(len(neighbors))), limit)
+            if move is None:
+                _, move = min(drawn, key=lambda s: s[0])  # the first least-violating draw
+        return move, insertion_move(current, move.element, move.to_rank)
 
 
 class ScriptedProposer(Proposer):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import IncompatibleAssignmentsError, InvalidConstraintError
-from .perm import Assignment, format_assignment
+from .perm import Assignment, Move, format_assignment
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ class ConstraintGraph:
     def __init__(self, edges: Iterable[RankConstraint] = ()):
         self._edges: dict[tuple[int, int], RankConstraint] = {}
         self._succ: dict[int, set[int]] = {}
+        self._pred: dict[int, set[int]] = {}  # the transpose of _succ
         for c in edges:
             self.try_add(c)
 
@@ -95,6 +96,8 @@ class ConstraintGraph:
         self._edges[c.pair()] = c
         self._succ.setdefault(c.before, set()).add(c.after)
         self._succ.setdefault(c.after, set())
+        self._pred.setdefault(c.after, set()).add(c.before)
+        self._pred.setdefault(c.before, set())
         return AddOutcome.ADDED
 
     def violations(self, x: Assignment) -> int:
@@ -106,6 +109,29 @@ class ConstraintGraph:
                 f"graph elements {sorted(missing)} missing from assignment {format_assignment(x)}"
             )
         return sum(1 for before, after in self._edges if pos[before] > pos[after])
+
+    def move_delta(self, rank: dict[int, int], move: Move) -> int:
+        """How much `move` changes the violation count of the assignment `rank` maps.
+
+        `rank` maps each element to its 1-based rank and must cover every
+        graph element. Only edges between the moved element and the elements
+        it jumps over change direction: moving right over ranks
+        from+1..to turns an edge e->u violated and an edge u->e satisfied,
+        and moving left swaps the signs. O(deg(element)).
+        """
+        e, f, t = move.element, move.from_rank, move.to_rank
+        succ = self._succ.get(e)
+        if succ is None:
+            return 0
+        lo, hi, sign = (f + 1, t, 1) if t > f else (t, f - 1, -1)
+        delta = 0
+        for u in succ:
+            if lo <= rank[u] <= hi:
+                delta += 1
+        for u in self._pred[e]:
+            if lo <= rank[u] <= hi:
+                delta -= 1
+        return sign * delta
 
     def satisfies(self, x: Assignment) -> bool:
         return self.violations(x) == 0
@@ -133,6 +159,7 @@ class ConstraintGraph:
                 reduced.try_add(c)
         for node in self.nodes:
             reduced._succ.setdefault(node, set())
+            reduced._pred.setdefault(node, set())
         return reduced
 
 

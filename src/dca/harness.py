@@ -144,6 +144,13 @@ def build_oracle(spec: dict, seed: int) -> Oracle:
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
+def _integer(value, what: str) -> int:
+    """An integer setting; a bool or a non-integral number is a ConfigError, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} {value!r} is not an integer")
+    return _number(int, value, what)
+
+
 @dataclass
 class RunConfig:
     initial: Assignment
@@ -183,8 +190,8 @@ class RunConfig:
         ):
             raise ConfigError(f"element_order must be a list of elements, got {element_order!r}")
         phase1 = Phase1Config(
-            n_games=_number(int, p1.get("games", 1000), "phase1 games"),
-            n_games_baseline=_number(int, p1.get("baseline_games", 2000), "phase1 baseline_games"),
+            n_games=_integer(p1.get("games", 1000), "phase1 games"),
+            n_games_baseline=_integer(p1.get("baseline_games", 2000), "phase1 baseline_games"),
             tau=_number(float, p1.get("tau", 1.0), "phase1 tau"),
             element_order=element_order,
             induction_scope=p1.get("induction_scope", "flanking"),
@@ -196,11 +203,11 @@ class RunConfig:
         schedule = TemperatureSchedule(
             t0=_number(float, p2.get("t0", 0.10), "phase2 t0"),
             dt=_number(float, p2.get("dt", 0.01), "phase2 dt"),
-            steps=_number(int, p2.get("steps", 10), "phase2 steps"),
+            steps=_integer(p2.get("steps", 10), "phase2 steps"),
         )
         phase2 = Phase2Config(
-            n_games_hi=_number(int, p2.get("games", 16000), "phase2 games"),
-            pool_size=_number(int, p2.get("pool_size", 8), "phase2 pool_size"),
+            n_games_hi=_integer(p2.get("games", 16000), "phase2 games"),
+            pool_size=_integer(p2.get("pool_size", 8), "phase2 pool_size"),
         )
         script_moves = p2.get("script_moves")
         if script_moves is not None and not isinstance(script_moves, str):
@@ -208,7 +215,7 @@ class RunConfig:
         initial = doc["initial"]
         return cls(
             initial=parse_assignment(initial) if isinstance(initial, str) else as_assignment(initial),
-            seed=_number(int, doc["seed"], "seed"),
+            seed=_integer(doc["seed"], "seed"),
             oracle=doc["oracle"],
             oracle_phase2=doc.get("oracle_phase2"),
             phase1=phase1,

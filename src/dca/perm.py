@@ -135,8 +135,8 @@ class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
     0-based position p has n-1 moves, less one for each neighbour with a
     smaller id. Construction sorts the elements once and records each one's
     offset into the order; `len` is (n-1)**2 and each lookup bisects the
-    offsets and builds one assignment, in O(n). Iteration walks the lookups
-    in order.
+    offsets and builds one assignment, in O(n); `move_at` returns the move
+    alone, in O(log n). Iteration walks the lookups in order.
     """
 
     def __init__(self, x: Assignment):
@@ -157,7 +157,8 @@ class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index: int) -> tuple[Move, Assignment]:
+    def move_at(self, index: int) -> Move:
+        """The move of entry `index` alone, without building its assignment: O(log n)."""
         i = operator.index(index)
         if i < 0:
             i += self._len
@@ -168,7 +169,11 @@ class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
         to_rank = i - self._offsets[k] + 1
         if to_rank >= lo:
             to_rank += hi - lo + 1
-        return Move(element, from_rank, to_rank), insertion_move(self.x, element, to_rank)
+        return Move(element, from_rank, to_rank)
+
+    def __getitem__(self, index: int) -> tuple[Move, Assignment]:
+        move = self.move_at(index)
+        return move, insertion_move(self.x, move.element, move.to_rank)
 
 
 def enumerate_insertion_neighbors(x: Assignment) -> InsertionNeighborhood:

@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dca.annealer import (
+    POOL_ROUNDS,
     InsertionProposer,
     Phase2Config,
     ScriptedProposer,
@@ -36,7 +37,12 @@ from dca.harness import (
     brute_force_optimum,
     derive_seed,
 )
-from dca.perm import enumerate_insertion_neighbors, parse_assignment
+from dca.perm import (
+    InsertionNeighborhood,
+    enumerate_insertion_neighbors,
+    insertion_move,
+    parse_assignment,
+)
 from dca.trace import RunContext, dump_trace
 
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
@@ -68,6 +74,37 @@ def topological_orders_sample(g, k, seed, elements=None):
             order.append(pick)
         orders.append(tuple(order))
     return orders
+
+
+class RecountProposer(InsertionProposer):
+    """The proposer before delta scoring: each draw is taken from a
+    materialised list of neighbours and its violations are recounted."""
+
+    def propose(self, current, graph):
+        neighbors = list(enumerate_insertion_neighbors(current))
+        limit = graph.violations(current)
+
+        def pick(scored):
+            admissible = [(v, move, x) for v, move, x in scored if v <= limit]
+            if not admissible:
+                return None
+            best_v = min(v for v, _, _ in admissible)
+            finalists = [(move, x) for v, move, x in admissible if v == best_v]
+            return finalists[int(self.rng.integers(len(finalists)))]
+
+        drawn = []
+        for _ in range(POOL_ROUNDS):
+            draws = [neighbors[int(i)] for i in self.rng.integers(len(neighbors), size=self.pool_size)]
+            scored = [(graph.violations(x), move, x) for move, x in draws]
+            found = pick(scored)
+            if found is not None:
+                return found
+            drawn += scored
+        found = pick([(graph.violations(x), move, x) for move, x in neighbors])
+        if found is not None:
+            return found
+        _, move, x = min(drawn, key=lambda s: s[0])
+        return move, x
 
 
 class TestAcceptanceProbability:
@@ -191,26 +228,28 @@ class TestInsertionProposer:
         _, candidate = proposer.propose((1, 2, 3), g)
         assert g.violations(candidate) == 1
 
-    def test_dry_pools_end_in_a_seeded_full_scan(self):
+    def test_dry_pools_end_in_a_seeded_full_scan(self, monkeypatch):
         # A chain over 1..6 leaves only the moves of element 7 admissible
         # (6 of 36 neighbours), so single-draw pools often run dry and the
-        # proposer scans the whole neighbourhood.
-        class Counting(ConstraintGraph):
-            calls = 0
+        # proposer scans the whole neighbourhood: more move lookups than
+        # the 8 single-draw pools make.
+        lookups = []
+        move_at = InsertionNeighborhood.move_at
 
-            def violations(self, x):
-                Counting.calls += 1
-                return super().violations(x)
+        def counting(self, index):
+            lookups.append(index)
+            return move_at(self, index)
 
-        g = Counting()
+        monkeypatch.setattr(InsertionNeighborhood, "move_at", counting)
+        g = ConstraintGraph()
         for a in range(1, 6):
             g.try_add(RankConstraint(a, a + 1))
         proposer = InsertionProposer(np.random.default_rng(2), pool_size=1)
         current, walk, scans = (7, 1, 2, 3, 4, 5, 6), [], 0
         for _ in range(24):
-            Counting.calls = 0
+            lookups.clear()
             _, current = proposer.propose(current, g)
-            scans += Counting.calls > 1 + 8
+            scans += len(lookups) > POOL_ROUNDS
             walk.append(" ".join(map(str, current)))
         assert scans > 0
         assert walk == [
@@ -222,6 +261,28 @@ class TestInsertionProposer:
             "1 2 3 7 4 5 6", "1 7 2 3 4 5 6", "1 2 3 7 4 5 6", "1 2 3 4 5 6 7",
         ]
 
+    @given(st.data())
+    def test_never_increases_violations_unless_no_neighbor_stays_within(self, data):
+        n = data.draw(st.integers(2, 40))
+        order = data.draw(st.permutations(range(1, n + 1)))
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        )
+        graph = ConstraintGraph()
+        for i, j in pairs:
+            if i < j:
+                graph.try_add(RankConstraint(order[i], order[j]))
+        current = tuple(data.draw(st.permutations(range(1, n + 1))))
+        proposer = InsertionProposer(
+            np.random.default_rng(data.draw(st.integers(0, 2**32))),
+            pool_size=data.draw(st.integers(1, 8)),
+        )
+        limit = graph.violations(current)
+        move, candidate = proposer.propose(current, graph)
+        assert candidate == insertion_move(current, move.element, move.to_rank)
+        if graph.violations(candidate) > limit:
+            assert all(graph.violations(x) > limit for _, x in enumerate_insertion_neighbors(current))
+
     def test_proposals_are_insertion_neighbors(self, g12):
         proposer = InsertionProposer(np.random.default_rng(11), pool_size=8)
         neighborhood = {x for _, x in enumerate_insertion_neighbors(X34)}
@@ -229,10 +290,10 @@ class TestInsertionProposer:
             move, candidate = proposer.propose(X34, g12)
             assert candidate in neighborhood
 
-    def test_lazy_neighborhood_draws_match_a_materialised_list(self, monkeypatch):
+    def test_lazy_neighborhood_draws_match_a_materialised_list(self):
         # n=40 under ~30 constraints consistent with a hidden order: the same
         # seed must walk through the same 200 proposals whether the proposer
-        # indexes the lazy sequence or a list built from it.
+        # scores moves by delta or materialises and recounts every draw.
         rnd = random.Random(40)
         order = list(range(1, 41))
         rnd.shuffle(order)
@@ -242,23 +303,41 @@ class TestInsertionProposer:
             graph.try_add(RankConstraint(order[i], order[j]))
         start = tuple(rnd.sample(order, 40))
 
-        def walk():
-            proposer = InsertionProposer(np.random.default_rng(8), pool_size=8)
+        def walk(proposer_class, graph, start, steps, pool_size=8, seed=8):
+            proposer = proposer_class(np.random.default_rng(seed), pool_size=pool_size)
             current, proposals = start, []
-            for _ in range(200):
+            for _ in range(steps):
                 proposals.append(proposer.propose(current, graph))
                 current = proposals[-1][1]
             return proposals
 
-        lazy = walk()
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                "dca.annealer.enumerate_insertion_neighbors",
-                lambda x: list(enumerate_insertion_neighbors(x)),
-            )
-            materialised = walk()
-        assert lazy == materialised
+        lazy = walk(InsertionProposer, graph, start, 200)
+        assert lazy == walk(RecountProposer, graph, start, 200)
         assert len(set(lazy)) > 100
+
+        # Random graphs up to n=12, a third of them total chains, whose
+        # extensions are dead ends with no neighbour inside the region.
+        dead_ends = 0
+        for case in range(60):
+            n = rnd.randint(2, 12)
+            order = rnd.sample(range(1, n + 1), n)
+            graph = ConstraintGraph()
+            if case % 3 == 0:
+                for a, b in zip(order, order[1:]):
+                    graph.try_add(RankConstraint(a, b))
+            else:
+                for _ in range(rnd.randint(0, 2 * n)):
+                    i, j = sorted(rnd.sample(range(n), 2))
+                    graph.try_add(RankConstraint(order[i], order[j]))
+            start = tuple(order) if case % 2 == 0 else tuple(rnd.sample(order, n))
+            args = (graph, start, 30, rnd.randint(1, 8), case)
+            delta = walk(InsertionProposer, *args)
+            assert delta == walk(RecountProposer, *args)
+            current = start
+            for _, candidate in delta:
+                dead_ends += graph.violations(candidate) > graph.violations(current)
+                current = candidate
+        assert dead_ends > 0
 
 
 class TestScriptedProposer:

@@ -238,6 +238,21 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
             None, "oracle", {"kind": "pool", "members": [{"weight": float("nan"), "oracle": EXACT}]},
             "pool weights must be finite", id="pool-weight-nan",
         ),
+        pytest.param(None, "seed", 1.7, "seed 1.7 is not an integer", id="seed-fraction"),
+        pytest.param(None, "seed", True, "seed True is not an integer", id="seed-bool"),
+        pytest.param("phase1", "games", 10.9, "phase1 games 10.9 is not an integer", id="games-fraction"),
+        pytest.param(
+            "phase1", "games", float("inf"), "phase1 games inf is not an integer", id="games-infinite"
+        ),
+        pytest.param(
+            "phase1", "baseline_games", 2000.5, "phase1 baseline_games 2000.5 is not an integer",
+            id="baseline-games-fraction",
+        ),
+        pytest.param("phase2", "games", False, "phase2 games False is not an integer", id="phase2-games-bool"),
+        pytest.param("phase2", "steps", 3.9, "phase2 steps 3.9 is not an integer", id="steps-fraction"),
+        pytest.param(
+            "phase2", "pool_size", True, "phase2 pool_size True is not an integer", id="pool-size-bool"
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(section, key, value, message, synthetic_config_file, capsys):
@@ -248,6 +263,16 @@ def test_malformed_config_values_exit_2(section, key, value, message, synthetic_
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_integral_float_settings_are_accepted(synthetic_config_file, capsys):
+    doc = json.loads(synthetic_config_file.read_text())
+    doc["seed"] = 9.0
+    doc["phase1"] = {"games": 2e2, "baseline_games": 4e2}
+    doc["phase2"] = {"games": 8e2, "steps": 5.0, "pool_size": 8.0}
+    synthetic_config_file.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(synthetic_config_file)]) == 0
+    assert "phase2 best:" in capsys.readouterr().out
 
 
 def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):

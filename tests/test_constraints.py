@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dca.constraints import (
     AddOutcome,
@@ -18,7 +20,7 @@ from dca.constraints import (
 )
 from dca.errors import IncompatibleAssignmentsError, InvalidConstraintError
 from dca.harness import TABLE_CONSTRAINTS
-from dca.perm import parse_assignment
+from dca.perm import enumerate_insertion_neighbors, parse_assignment
 
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
 X44 = parse_assignment("5 4 2 3 7 6 8 10 11 9")
@@ -138,6 +140,45 @@ class TestViolations:
         assert len(extensions) == count_linear_extensions(g, elements)
         for p in permutations(elements):
             assert g.satisfies(p) == (p in extensions)
+
+
+@st.composite
+def edge_streams(draw, max_n=40):
+    """(n, edges): a random stream of ordered pairs over elements 1..n, cycles and repeats included."""
+    n = draw(st.integers(2, max_n))
+    element = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    return n, pairs
+
+
+class TestMoveDelta:
+    @given(edge_streams(), st.data())
+    def test_delta_is_the_change_in_violations_for_every_insertion_move(self, stream, data):
+        n, pairs = stream
+        # Graph elements 1..n inside an assignment that may hold extra elements.
+        extra = data.draw(st.integers(0, 3))
+        g = ConstraintGraph()
+        for a, b in pairs:
+            g.try_add(RankConstraint(a, b))
+        x = tuple(data.draw(st.permutations(range(1, n + extra + 1))))
+        before = g.violations(x)
+        rank = {e: r for r, e in enumerate(x, start=1)}
+        neighbors = enumerate_insertion_neighbors(x)
+        for i in range(len(neighbors)):
+            move, after = neighbors[i]
+            assert g.move_delta(rank, move) == g.violations(after) - before
+
+    @given(edge_streams())
+    def test_pred_is_the_transpose_of_succ(self, stream):
+        _, pairs = stream
+        g = ConstraintGraph()
+        for a, b in pairs:
+            g.try_add(RankConstraint(a, b))
+        for graph in (g, g.transitive_reduction()):
+            assert graph._pred.keys() == graph._succ.keys()
+            transposed = {(a, b) for b, befores in graph._pred.items() for a in befores}
+            assert transposed == {(a, b) for a, afters in graph._succ.items() for b in afters}
+            assert transposed == graph.edge_pairs()
 
 
 class TestTransitiveReduction:

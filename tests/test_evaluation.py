@@ -29,6 +29,7 @@ from dca.evaluation import (
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
+    _stream_seed,
     aggregate,
     decode_response,
     encode_request,
@@ -154,6 +155,33 @@ class TestSyntheticOracle:
         landscape = unit_landscape((1, 2, 3, 4), sigma=2.0)
         est = SyntheticOracle(landscape, seed=3).evaluate((1, 2, 3, 4), 1600)
         assert est.se == pytest.approx(2.0 / math.sqrt(1600), rel=0.15)
+
+
+    @given(
+        st.one_of(st.sampled_from([1, 2, 1000, 16000]), st.integers(1, 16000)),
+        st.one_of(st.sampled_from([1e-3, 0.5, 1.9, 10.0]), st.floats(1e-3, 10.0)),
+        st.lists(st.floats(0.05, 5.0), min_size=2, max_size=12),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_estimates_equal_the_two_pass_formula_exactly(self, n_games, sigma, weights, seed, rnd):
+        target = tuple(range(1, len(weights) + 1))
+        landscape = HiddenTargetLandscape(target, dict(zip(target, weights)), sigma=sigma)
+        x = tuple(rnd.sample(target, len(target)))
+        est = SyntheticOracle(landscape, seed=seed).evaluate(x, n_games)
+        # The formula the one-buffer sampler replaced, as it stood.
+        rng = np.random.default_rng(_stream_seed(seed, x, n_games))
+        samples = landscape.true_fitness(x) + rng.normal(0.0, sigma, size=n_games)
+        if n_games == 1:
+            expected = FitnessEstimate(mean=float(samples[0]), se=0.0, n_games=1)
+        else:
+            expected = FitnessEstimate(
+                mean=float(samples.mean()),
+                se=float(samples.std(ddof=1) / math.sqrt(n_games)),
+                n_games=n_games,
+            )
+        assert est == expected
+        assert type(est.mean) is float and type(est.se) is float
 
 
 class TestExactOracle:
