@@ -209,12 +209,7 @@ def run_phase2(
     config.validate()
     schedule.validate()
     run = run if run is not None else RunContext()
-
-    phase2_records: list[TraceRecord] = []
-
-    def emit(record: TraceRecord) -> TraceRecord:
-        phase2_records.append(record)
-        return run.add(record)
+    first_row = len(run.records)
 
     # Mandatory high-precision re-evaluation of the incumbent at phase entry.
     # When the start was already traced (a continued run), the re-test keeps
@@ -222,7 +217,7 @@ def run_phase2(
     current_est, _ = evaluator.estimate(start, config.n_games_hi)
     prior_id = run.id_of(start)
     reeval_id = prior_id if prior_id is not None else run.fresh_id()
-    emit(
+    run.add(
         TraceRecord(
             test_id=reeval_id,
             phase=2,
@@ -267,7 +262,7 @@ def run_phase2(
         else:
             marker = MARKER_NONE
 
-        emit(
+        run.add(
             TraceRecord(
                 test_id=run.fresh_id(),
                 phase=2,
@@ -291,7 +286,7 @@ def run_phase2(
     return Phase2Result(
         best=best,
         best_estimate=best_est,
-        trace=phase2_records,
+        trace=run.records[first_row:],
         accepted_worse=accepted_worse,
         rejected_worse=rejected_worse,
         improved=improved,

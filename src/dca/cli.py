@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DcaError as err:
+    except (DcaError, OSError) as err:  # an OSError: an input file that cannot be read
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check_keys, integer, read, real, required
 from .errors import (
     ConfigError,
     ElementNotFoundError,
@@ -129,43 +130,24 @@ class HiddenTargetLandscape:
 
     @classmethod
     def from_config(cls, doc: dict) -> "HiddenTargetLandscape":
-        allowed = {"kind", "target", "weights", "sigma"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ConfigError(f"unknown landscape keys: {sorted(unknown)}")
+        """The landscape of a `hidden-target` spec, or of an `exact` or `synthetic` oracle spec."""
+        check_keys(doc, {"kind", "target", "weights", "sigma"}, "landscape")
         kind = doc.get("kind", "hidden-target")
-        if kind != "hidden-target":
+        if kind not in ("hidden-target", "exact", "synthetic"):
             raise ConfigError(f"unknown landscape kind {kind!r}")
-        if "target" not in doc:
-            raise ConfigError("landscape missing required key 'target'")
-        target = (
-            parse_assignment(doc["target"])
-            if isinstance(doc["target"], str)
-            else as_assignment(doc["target"])
-        )
+        target = as_assignment(required(doc, "target", "landscape"))
         raw_w = doc.get("weights", 1.0)
         if isinstance(raw_w, (int, float)):
-            weights = {e: float(raw_w) for e in target}
+            weights = dict.fromkeys(target, real(raw_w, "weights"))
         elif isinstance(raw_w, dict):
-            weights = {
-                _number(int, k, "weight key"): _number(float, v, "weight") for k, v in raw_w.items()
-            }
+            weights = {integer(k, "weight key"): real(v, "weight") for k, v in raw_w.items()}
         elif isinstance(raw_w, (list, tuple)):
             if len(raw_w) != len(target):
                 raise ConfigError(f"{len(raw_w)} weights for a target of {len(target)} elements")
-            weights = {e: _number(float, w, "weight") for e, w in zip(target, raw_w)}
+            weights = {e: real(w, "weight") for e, w in zip(target, raw_w)}
         else:
             raise ConfigError(f"weights must be a number, a list or a map, got {raw_w!r}")
-        sigma = _number(float, doc.get("sigma", 0.0), "sigma")
-        return cls(target=target, weights=weights, sigma=sigma)
-
-
-def _number(kind: type, value, what: str):
-    """`kind(value)`, with a value it cannot convert reported as a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{what} {value!r} is not a number") from err
+        return cls(target=target, weights=weights, **read(doc, {"sigma": ("sigma", real)}, ""))
 
 
 def _stream_seed(seed: int, x: Assignment, n_games: int) -> int:

@@ -32,6 +32,7 @@ from .annealer import (
     run_phase2,
 )
 from .climber import Phase1Config, Phase1Result, run_phase1
+from .config import check_keys, integer, read, real, required
 from .constraints import ConstraintGraph, Evidence, RankConstraint, to_dot, to_edge_list_text
 from .errors import ConfigError
 from .evaluation import (
@@ -44,7 +45,6 @@ from .evaluation import (
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
-    _number,
     format_mean,
     format_se,
 )
@@ -92,63 +92,66 @@ def packaged_fixtures_dir() -> Path:
     return Path(str(importlib.resources.files("dca") / "fixtures"))
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _required(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where} missing required key {key!r}")
-    return doc[key]
-
-
 def build_oracle(spec: dict, seed: int) -> Oracle:
     if not isinstance(spec, dict):
         raise ConfigError(f"oracle spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "exact":
-        _check_keys(spec, {"kind", "target", "weights", "sigma"}, "exact oracle spec")
-        return ExactOracle(HiddenTargetLandscape.from_config({**spec, "kind": "hidden-target"}))
+        return ExactOracle(HiddenTargetLandscape.from_config(spec))
     if kind == "synthetic":
-        _check_keys(spec, {"kind", "target", "weights", "sigma"}, "synthetic oracle spec")
-        return SyntheticOracle(
-            HiddenTargetLandscape.from_config({**spec, "kind": "hidden-target"}), seed=seed
-        )
+        return SyntheticOracle(HiddenTargetLandscape.from_config(spec), seed=seed)
     if kind == "replay":
-        _check_keys(spec, {"kind", "path"}, "replay oracle spec")
-        return ReplayOracle(ReplayFixture.load(_required(spec, "path", "replay oracle spec")))
+        check_keys(spec, {"kind", "path"}, "replay oracle spec")
+        return ReplayOracle(ReplayFixture.load(required(spec, "path", "replay oracle spec")))
     if kind == "pool":
-        _check_keys(spec, {"kind", "members"}, "pool oracle spec")
+        check_keys(spec, {"kind", "members"}, "pool oracle spec")
         members = spec.get("members", [])
         if not isinstance(members, list):
             raise ConfigError(f"pool members must be a list, got {members!r}")
         pool = []
         for i, member in enumerate(members):
             where = f"pool member {i}"
-            _check_keys(member, {"weight", "oracle"}, where)
-            weight = _number(float, _required(member, "weight", where), "pool weight")
-            oracle = build_oracle(_required(member, "oracle", where), derive_seed(seed, f"pool-{i}"))
+            check_keys(member, {"weight", "oracle"}, where)
+            weight = real(required(member, "weight", where), "pool weight")
+            oracle = build_oracle(required(member, "oracle", where), derive_seed(seed, f"pool-{i}"))
             pool.append((oracle, weight))
         return PoolOracle(pool)
     if kind == "subprocess":
-        _check_keys(spec, {"kind", "cmd", "timeout"}, "subprocess oracle spec")
-        return SubprocessOracle(
-            _required(spec, "cmd", "subprocess oracle spec"),
-            timeout=_number(float, spec.get("timeout", 30.0), "subprocess timeout"),
-            seed=seed,
-        )
+        check_keys(spec, {"kind", "cmd", "timeout"}, "subprocess oracle spec")
+        cmd = required(spec, "cmd", "subprocess oracle spec")
+        return SubprocessOracle(cmd, seed=seed, **read(spec, {"timeout": ("timeout", real)}, "subprocess "))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
-def _integer(value, what: str) -> int:
-    """An integer setting; a bool or a non-integral number is a ConfigError, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} {value!r} is not an integer")
-    return _number(int, value, what)
+def _as_is(value, what: str):
+    return value
+
+
+def _element_ids(value, what: str) -> Optional[list[int]]:
+    """A list of element ids, or None; a bool is not an element id."""
+    if value is not None and not (isinstance(value, list) and all(type(e) is int for e in value)):
+        raise ConfigError(f"{what} must be a list of elements, got {value!r}")
+    return value
+
+
+def _path(value, what: str) -> Optional[Path]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path, got {value!r}")
+    return Path(value) if value else None
+
+
+# Each run-config section's keys: config key -> (dataclass field, reader). The
+# "phase2" section holds the schedule's keys, Phase2Config's and script_moves.
+_PHASE1_KEYS = {
+    "games": ("n_games", integer),
+    "baseline_games": ("n_games_baseline", integer),
+    "tau": ("tau", real),
+    "element_order": ("element_order", _element_ids),
+    "induction_scope": ("induction_scope", _as_is),
+}
+_SCHEDULE_KEYS = {"t0": ("t0", real), "dt": ("dt", real), "steps": ("steps", integer)}
+_PHASE2_KEYS = {"games": ("n_games_hi", integer), "pool_size": ("pool_size", integer)}
+_SCRIPT_KEYS = {"script_moves": ("script_moves", _path)}
 
 
 @dataclass
@@ -171,57 +174,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        _check_keys(
-            doc,
-            {"initial", "seed", "oracle", "oracle_phase2", "phase1", "phase2"},
-            "run config",
-        )
-        for section in ("initial", "seed", "oracle"):
-            _required(doc, section, "run config")
-        p1 = doc.get("phase1", {})
-        _check_keys(
-            p1,
-            {"games", "baseline_games", "tau", "element_order", "induction_scope"},
-            "phase1 section",
-        )
-        element_order = p1.get("element_order")
-        if element_order is not None and not (
-            isinstance(element_order, list) and all(isinstance(e, int) for e in element_order)
-        ):
-            raise ConfigError(f"element_order must be a list of elements, got {element_order!r}")
-        phase1 = Phase1Config(
-            n_games=_integer(p1.get("games", 1000), "phase1 games"),
-            n_games_baseline=_integer(p1.get("baseline_games", 2000), "phase1 baseline_games"),
-            tau=_number(float, p1.get("tau", 1.0), "phase1 tau"),
-            element_order=element_order,
-            induction_scope=p1.get("induction_scope", "flanking"),
-        )
-        p2 = doc.get("phase2", {})
-        _check_keys(
-            p2, {"games", "t0", "dt", "steps", "pool_size", "script_moves"}, "phase2 section"
-        )
-        schedule = TemperatureSchedule(
-            t0=_number(float, p2.get("t0", 0.10), "phase2 t0"),
-            dt=_number(float, p2.get("dt", 0.01), "phase2 dt"),
-            steps=_integer(p2.get("steps", 10), "phase2 steps"),
-        )
-        phase2 = Phase2Config(
-            n_games_hi=_integer(p2.get("games", 16000), "phase2 games"),
-            pool_size=_integer(p2.get("pool_size", 8), "phase2 pool_size"),
-        )
-        script_moves = p2.get("script_moves")
-        if script_moves is not None and not isinstance(script_moves, str):
-            raise ConfigError(f"script_moves must be a path, got {script_moves!r}")
-        initial = doc["initial"]
+        """The run config of a JSON document; an absent optional key keeps its field's default."""
+        check_keys(doc, {"initial", "seed", "oracle", "oracle_phase2", "phase1", "phase2"}, "run config")
+        p1, p2 = doc.get("phase1", {}), doc.get("phase2", {})
+        check_keys(p1, _PHASE1_KEYS, "phase1 section")
+        check_keys(p2, {*_SCHEDULE_KEYS, *_PHASE2_KEYS, *_SCRIPT_KEYS}, "phase2 section")
         return cls(
-            initial=parse_assignment(initial) if isinstance(initial, str) else as_assignment(initial),
-            seed=_integer(doc["seed"], "seed"),
-            oracle=doc["oracle"],
+            initial=as_assignment(required(doc, "initial", "run config")),
+            seed=integer(required(doc, "seed", "run config"), "seed"),
+            oracle=required(doc, "oracle", "run config"),
             oracle_phase2=doc.get("oracle_phase2"),
-            phase1=phase1,
-            schedule=schedule,
-            phase2=phase2,
-            script_moves=Path(script_moves) if script_moves else None,
+            phase1=Phase1Config(**read(p1, _PHASE1_KEYS, "phase1 ")),
+            schedule=TemperatureSchedule(**read(p2, _SCHEDULE_KEYS, "phase2 ")),
+            phase2=Phase2Config(**read(p2, _PHASE2_KEYS, "phase2 ")),
+            **read(p2, _SCRIPT_KEYS, "phase2 "),
         )
 
     @classmethod
@@ -435,9 +401,6 @@ def paper_replay_config(fixtures_dir: Optional[str | Path] = None) -> RunConfig:
         seed=REPLAY_MASTER_SEED,
         oracle={"kind": "replay", "path": str(table12)},
         oracle_phase2={"kind": "replay", "path": str(table3)},
-        phase1=Phase1Config(),
-        schedule=TemperatureSchedule(),
-        phase2=Phase2Config(),
         script_moves=moves,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
 
@@ -26,9 +26,13 @@ class Move:
     to_rank: int
 
 
-def as_assignment(order: Iterable[int]) -> Assignment:
-    """Validate and freeze an element ordering into an Assignment."""
+def as_assignment(order: Sequence[int] | str) -> Assignment:
+    """Validate and freeze an element ordering, or its space-separated string, into an Assignment."""
+    if isinstance(order, str):
+        order = order.split()
     try:
+        if any(isinstance(e, bool) for e in order):  # int(True) would read as element 1
+            raise TypeError("a bool is not an element id")
         x = tuple(int(e) for e in order)
     except (TypeError, ValueError) as err:
         raise IncompatibleAssignmentsError(f"unparseable assignment {order!r}") from err

@@ -145,7 +145,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             continue
         try:
             records.append(TraceRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as err:
+        except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise ConfigError(f"{path}:{i + 1}: unparseable trace line") from err
     return records
 

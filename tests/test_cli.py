@@ -168,6 +168,7 @@ def test_brute_with_graph(tmp_path, capsys):
         {"target": "1 2 3", "weights": "abc"},
         {"target": "1 2 3", "weights": {"1": 1, "2": 1, "x": 1}},
         {"target": "1 2 3", "sigma": "abc"},
+        {"kind": "replay", "target": "1 2 3"},
     ],
 )
 def test_brute_reports_an_unusable_landscape(doc, tmp_path, capsys):
@@ -175,6 +176,14 @@ def test_brute_reports_an_unusable_landscape(doc, tmp_path, capsys):
     landscape.write_text(json.dumps(doc))
     assert main(["brute", "--landscape", str(landscape)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["exact", "synthetic"])
+def test_brute_reads_an_oracle_landscape_spec(kind, tmp_path, capsys):
+    landscape = tmp_path / "landscape.json"
+    landscape.write_text(json.dumps({"kind": kind, "target": "3 1 2", "sigma": 0.5}))
+    assert main(["brute", "--landscape", str(landscape)]) == 0
+    assert "optimum: 3 1 2" in capsys.readouterr().out
 
 
 def test_export_dag_from_trace(synthetic_config_file, tmp_path, capsys):
@@ -253,6 +262,39 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
         pytest.param(
             "phase2", "pool_size", True, "phase2 pool_size True is not an integer", id="pool-size-bool"
         ),
+        pytest.param("phase1", "tau", True, "phase1 tau True is not a number", id="tau-bool"),
+        pytest.param("phase2", "t0", True, "phase2 t0 True is not a number", id="t0-bool"),
+        pytest.param("phase2", "dt", False, "phase2 dt False is not a number", id="dt-bool"),
+        pytest.param(
+            None, "oracle", {**EXACT, "kind": "synthetic", "sigma": True}, "sigma True is not a number",
+            id="sigma-bool",
+        ),
+        pytest.param(None, "oracle", {**EXACT, "weights": True}, "weights True is not a number", id="weights-bool"),
+        pytest.param(
+            None, "oracle", {**EXACT, "weights": [1, True, 1, 1]}, "weight True is not a number",
+            id="weights-list-bool",
+        ),
+        pytest.param(
+            None, "oracle", {**EXACT, "weights": {"1": 1, "2": True, "3": 1, "4": 1}},
+            "weight True is not a number", id="weights-map-bool",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "pool", "members": [{"weight": True, "oracle": EXACT}]},
+            "pool weight True is not a number", id="pool-weight-bool",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "timeout": True},
+            "subprocess timeout True is not a number", id="timeout-bool",
+        ),
+        pytest.param(
+            "phase1", "element_order", [True, 2], "element_order must be a list of elements",
+            id="element-order-bool",
+        ),
+        pytest.param(None, "initial", [4, 3, 2, True], "unparseable assignment [4, 3, 2, True]", id="initial-bool"),
+        pytest.param(
+            None, "oracle", {**EXACT, "target": [2, 4, True, 3]}, "unparseable assignment [2, 4, True, 3]",
+            id="target-bool",
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(section, key, value, message, synthetic_config_file, capsys):
@@ -292,3 +334,42 @@ def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phase2 best: 5 4 2 3 7 6 8 10 11 9" in out
     assert "-2.95471" in out
+
+
+ROW = {"test_id": 0, "phase": 1, "assignment": "1 2 3", "mean": -1.0, "se": 0.1, "n_games": 10}
+BAD_NOTE = {"kind": "induced", "before": 1, "after": 2, "tests": 5, "gap": 0.2, "threshold": 0.1}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", "trace-note"],
+)
+def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    config = str(synthetic_config_file)
+    trace = tmp_path / "trace.jsonl"
+    if case == "trace-number":
+        trace.write_text(json.dumps(ROW) + "\n5\n")
+    elif case == "trace-note":
+        trace.write_text(json.dumps({**ROW, "annotations": [BAD_NOTE]}) + "\n")
+    elif case == "replay-path":
+        doc = json.loads(synthetic_config_file.read_text())
+        doc["oracle"] = {"kind": "replay", "path": missing}
+        synthetic_config_file.write_text(json.dumps(doc))
+    argv = {
+        "config": ["optimize", "--config", missing],
+        "script-moves": ["optimize", "--config", config, "--script-moves", missing],
+        "replay-path": ["optimize", "--config", config],
+        "landscape": ["brute", "--landscape", missing],
+        "trace": ["export-dag", "--trace", missing, "--out", str(tmp_path / "dag.dot")],
+        "graph": ["phase2", "--config", config, "--graph", missing, "--start", "2 4 1 3"],
+        "trace-number": ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")],
+        "trace-note": ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    if case.startswith("trace-"):
+        assert f"{trace}:{2 if case == 'trace-number' else 1}: unparseable trace line" in err
+    else:
+        assert "No such file or directory" in err and missing in err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from dataclasses import fields
 from itertools import permutations
 
 import pytest
@@ -54,6 +55,15 @@ class TestRunConfig:
         assert cfg.schedule.steps == 10
         assert cfg.phase2.n_games_hi == 8000
         cfg.validate()
+
+    def test_absent_keys_keep_the_dataclass_defaults(self):
+        cfg = RunConfig.from_dict(
+            {"initial": "1 2", "seed": 1, "oracle": {"kind": "exact", "target": "1 2"}}
+        )
+        for part in (cfg.phase1, cfg.schedule, cfg.phase2):
+            for f in fields(part):
+                assert getattr(part, f.name) == f.default, f"{type(part).__name__}.{f.name}"
+        assert cfg.oracle_phase2 is None and cfg.script_moves is None
 
     def test_unknown_top_level_key_is_an_error(self):
         with pytest.raises(ConfigError, match="unknown keys"):

@@ -108,9 +108,9 @@ def shuffled(n, tag):
     return random.Random(tag).sample(range(1, n + 1), n)
 
 
-# sha256 of (trace.jsonl, trace.csv) for two seeded runs, recorded before the
-# phase-1 probe functions (insertion_move, true_fitness, format_assignment)
-# were rewritten for speed. Fractional weights make the landscape sum's
+# sha256 of (trace.jsonl, trace.csv) for seeded runs. The first two were
+# recorded before the phase-1 probe functions (insertion_move, true_fitness,
+# format_assignment) were rewritten for speed. Fractional weights make the landscape sum's
 # addition order visible in the means.
 GOLDEN_TRACES = {
     "exact-40": (
@@ -134,6 +134,35 @@ GOLDEN_TRACES = {
         },
         "d604a665ee4fe37917615f8858bc9129b87ed4e770dfc02b49f349cb0d1e412b",
         "b04149c2e3b0843c43801f61396c957234050eb035a099ced5fc73403af26fca",
+    ),
+    # Recorded before the run config and landscape specs were read through
+    # one set of helpers: they must read these configs as before.
+    "pool-9": (
+        {
+            "initial": shuffled(9, "golden:pool:initial"),
+            "seed": 7,
+            "oracle": {"kind": "pool", "members": [
+                {"weight": 2.0, "oracle": {"kind": "synthetic", "sigma": 0.8,
+                                           "target": shuffled(9, "golden:pool:synthetic")}},
+                {"weight": 1.0, "oracle": {"kind": "exact", "weights": 1.5,
+                                           "target": shuffled(9, "golden:pool:exact")}},
+            ]},
+            "phase2": {"games": 4000, "steps": 4},
+        },
+        "09d7896f380942d6e7374a53795f8a1d84a664e1060f0116fb385c76be60c3d6",
+        "117a80b058ccbfb2f4740eba1310616dfeff9278e13233e64071b12204613557",
+    ),
+    "all-pairs-10": (
+        {
+            "initial": shuffled(10, "golden:all-pairs:initial"),
+            "seed": 4,
+            "oracle": {"kind": "synthetic", "target": shuffled(10, "golden:all-pairs:target"),
+                       "weights": {str(k): 0.2 * k + 0.5 for k in range(1, 11)}, "sigma": 1.0},
+            "phase1": {"games": 300, "tau": 1.5, "induction_scope": "all-pairs"},
+            "phase2": {"t0": 0.2, "dt": 0.03, "steps": 5, "pool_size": 3},
+        },
+        "7e4227acc45835356aa7328ca08ba3ae64cd207d664a6d91f9249173eb84194f",
+        "75eb0f9330c555792845dd8e168a50331fbc29e3921b0f24c0129e9604dda542",
     ),
 }
 
