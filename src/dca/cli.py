@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .annealer import TemperatureSchedule, run_phase2
 from .climber import run_phase1
+from .config import read_json_file
 from .constraints import from_edge_list_text, to_dot, to_edge_list_text
 from .errors import DcaError
 from .evaluation import HiddenTargetLandscape, format_mean
@@ -115,7 +116,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_brute(args: argparse.Namespace) -> int:
-    landscape = HiddenTargetLandscape.from_config(json.loads(Path(args.landscape).read_text()))
+    landscape = HiddenTargetLandscape.from_config(read_json_file(args.landscape))
     graph = from_edge_list_text(Path(args.graph).read_text()) if args.graph else None
     best, mean = brute_force_optimum(landscape, graph)
     print(f"optimum: {format_assignment(best)}  mean {format_mean(mean)}")

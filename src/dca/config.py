@@ -1,13 +1,23 @@
-"""Readers for the run config and the oracle and landscape specs.
+"""Readers for the run config and the oracle and landscape specs, and their JSON files.
 
 Each reports a value it cannot use as a ConfigError naming the setting.
 """
 
 from __future__ import annotations
 
+import json
 from functools import partial
+from pathlib import Path
 
 from .errors import ConfigError
+
+
+def read_json_file(path: str | Path):
+    """The JSON document in the file at `path`; a file that is not JSON is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: invalid JSON: {err}") from err
 
 
 def check_keys(doc: dict, allowed, where: str) -> None:
@@ -24,6 +34,11 @@ def required(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def not_an_int(value) -> bool:
+    """A bool or a non-integral float: what an int setting rejects instead of truncating."""
+    return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+
+
 def number(kind: type, value, what: str):
     """`value` as an int or a float: the one rule for what a config number is.
 
@@ -31,7 +46,7 @@ def number(kind: type, value, what: str):
     instead of truncating it (9.0 reads as 9). Anything else `kind` cannot
     convert is a ConfigError too.
     """
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+    if not_an_int(value) if kind is int else isinstance(value, bool):
         raise ConfigError(f"{what} {value!r} is not {'an integer' if kind is int else 'a number'}")
     try:
         return kind(value)

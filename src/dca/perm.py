@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import not_an_int
 from .errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
 
 Assignment = tuple[int, ...]
@@ -31,8 +32,8 @@ def as_assignment(order: Sequence[int] | str) -> Assignment:
     if isinstance(order, str):
         order = order.split()
     try:
-        if any(isinstance(e, bool) for e in order):  # int(True) would read as element 1
-            raise TypeError("a bool is not an element id")
+        if any(map(not_an_int, order)):  # int() would read True as 1 and 4.7 as 4
+            raise TypeError("an element id is an integer")
         x = tuple(int(e) for e in order)
     except (TypeError, ValueError) as err:
         raise IncompatibleAssignmentsError(f"unparseable assignment {order!r}") from err

@@ -169,11 +169,12 @@ def test_brute_with_graph(tmp_path, capsys):
         {"target": "1 2 3", "weights": {"1": 1, "2": 1, "x": 1}},
         {"target": "1 2 3", "sigma": "abc"},
         {"kind": "replay", "target": "1 2 3"},
+        "{not json",
     ],
 )
 def test_brute_reports_an_unusable_landscape(doc, tmp_path, capsys):
     landscape = tmp_path / "landscape.json"
-    landscape.write_text(json.dumps(doc))
+    landscape.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["brute", "--landscape", str(landscape)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -295,6 +296,17 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
             None, "oracle", {**EXACT, "target": [2, 4, True, 3]}, "unparseable assignment [2, 4, True, 3]",
             id="target-bool",
         ),
+        pytest.param(
+            None, "initial", [4.7, 3, 2, 1], "unparseable assignment [4.7, 3, 2, 1]", id="initial-fraction"
+        ),
+        pytest.param(
+            None, "oracle", {**EXACT, "target": [2, 4, 1.2, 3]}, "unparseable assignment [2, 4, 1.2, 3]",
+            id="target-fraction",
+        ),
+        pytest.param(
+            None, "initial", [4, 3, 2, float("inf")], "unparseable assignment [4, 3, 2, inf]",
+            id="initial-infinite",
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(section, key, value, message, synthetic_config_file, capsys):
@@ -315,6 +327,17 @@ def test_integral_float_settings_are_accepted(synthetic_config_file, capsys):
     synthetic_config_file.write_text(json.dumps(doc))
     assert main(["optimize", "--config", str(synthetic_config_file)]) == 0
     assert "phase2 best:" in capsys.readouterr().out
+
+
+def test_integral_float_element_ids_read_as_ints(synthetic_config_file, capsys):
+    assert main(["optimize", "--config", str(synthetic_config_file)]) == 0
+    expected = capsys.readouterr().out
+    doc = json.loads(synthetic_config_file.read_text())
+    doc["initial"] = [4.0, 3.0, 2.0, 1.0]
+    doc["oracle"]["target"] = [2.0, 4, 1, 3.0]
+    synthetic_config_file.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(synthetic_config_file)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import statistics
 import sys
 import threading
@@ -38,7 +39,7 @@ from dca.evaluation import (
     significant_difference,
 )
 from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
-from dca.perm import parse_assignment, rank_of
+from dca.perm import format_assignment, parse_assignment, rank_of
 
 # Pinned digests of the shipped table transcriptions; any drift fails loudly.
 FIXTURE_SHA256 = {
@@ -282,6 +283,21 @@ class TestReplayOracle:
         bad = tmp_path / "bad.replay"
         bad.write_text("1 2 | -1.0 | 0.1 | 10\n")
         with pytest.raises(ConfigError):
+            ReplayFixture.load(bad)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            pytest.param("1 2 3 | nan | 0.1 | 10", "a non-finite mean or se", id="nan-mean"),
+            pytest.param("1 2 3 | -1.0 | inf | 10", "a non-finite mean or se", id="infinite-se"),
+            pytest.param("1 2 3 | -1.0 | -1.0 | 10", "a negative se -1.0", id="negative-se"),
+            pytest.param("1 2 3 | -1.0 | 0.1 | 0", "n=0 < 1 games", id="no-games"),
+        ],
+    )
+    def test_untrustworthy_rows_rejected_naming_the_line(self, row, problem, tmp_path):
+        bad = tmp_path / "bad.replay"
+        bad.write_text(f"# dca-replay v1\n# a comment\n2 1 3 | -2.0 | 0.1 | 10\n{row}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{bad}:4: replay row has {problem}')}$"):
             ReplayFixture.load(bad)
 
     def test_repeated_assignment_rejected(self, tmp_path):
@@ -552,3 +568,64 @@ class TestTrueFitness:
     def test_the_first_missing_element_in_target_order_is_named(self):
         with pytest.raises(ElementNotFoundError, match="^element 2 not in assignment 1 5 6 4$"):
             unit_landscape((1, 2, 3, 4)).true_fitness((1, 5, 6, 4))
+
+
+def reference_fitness(landscape: HiddenTargetLandscape, x) -> float:
+    """The scorer `scores` replaces: a list of products over (element, rank, weight) terms."""
+    rank = dict(zip(x, range(1, len(x) + 1)))
+    terms = [(e, i, landscape.weights[e]) for i, e in enumerate(landscape.target, start=1)]
+    try:
+        return -sum([w * abs(rank[e] - i) for e, i, w in terms])
+    except KeyError:
+        missing = next(e for e in landscape.target if e not in rank)
+        raise ElementNotFoundError(f"element {missing} not in assignment {format_assignment(x)}") from None
+
+
+weights_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def scored_landscapes(draw, max_n=80):
+    """A landscape over ids up to 10**9 and rows of its target's elements, some with extra ones."""
+    target = tuple(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=max_n, unique=True)))
+    weights = dict(zip(target, draw(st.lists(weights_st, min_size=len(target), max_size=len(target)))))
+    extra = draw(st.lists(st.integers(1, 10**9).filter(lambda e: e not in weights), max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.permutations(target + tuple(extra)))
+        rows.append(tuple(row))
+    return HiddenTargetLandscape(target=target, weights=weights), rows
+
+
+class TestScores:
+    @given(scored_landscapes())
+    def test_equal_the_list_of_products_bit_for_bit(self, case):
+        landscape, rows = case
+        expected = [repr(reference_fitness(landscape, x)) for x in rows]
+        assert [repr(landscape.true_fitness(x)) for x in rows] == expected
+        assert [repr(score) for score in landscape.scores(rows)] == expected
+
+    @given(scored_landscapes(max_n=12), st.data())
+    def test_a_missing_element_is_named_as_before(self, case, data):
+        landscape, rows = case
+        j = data.draw(st.integers(0, len(rows) - 1))
+        drop = set(data.draw(st.lists(st.sampled_from(landscape.target), min_size=1, unique=True)))
+        # Ids past the drawn ones stand in for the dropped elements, so the rows keep one length.
+        stand_ins = iter(range(10**9 + 1, 10**9 + 100))
+        rows[j] = tuple(next(stand_ins) if e in drop else e for e in rows[j])
+        with pytest.raises(ElementNotFoundError) as expected:
+            reference_fitness(landscape, rows[j])
+        with pytest.raises(ElementNotFoundError) as one:
+            landscape.true_fitness(rows[j])
+        with pytest.raises(ElementNotFoundError) as batch:
+            landscape.scores(rows)
+        assert str(one.value) == str(batch.value) == str(expected.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_an_infinite_sum_is_not_a_missing_element(self):
+        landscape = HiddenTargetLandscape(target=(1, 2, 3), weights={1: 1e308, 2: 1.0, 3: -1e308})
+        assert math.isnan(landscape.true_fitness((3, 2, 1)))
+        assert math.isnan(reference_fitness(landscape, (3, 2, 1)))

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shutil
 from dataclasses import fields
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dca.harness
 
 from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
 from dca.errors import ConfigError, ReplayMissError
@@ -154,6 +159,64 @@ class TestBruteForce:
         for p in permutations((1, 2, 3, 4)):
             if g.satisfies(p):
                 assert landscape.true_fitness(p) <= mean
+
+
+def reference_fitness(landscape, x):
+    rank = dict(zip(x, range(1, len(x) + 1)))
+    return -sum([landscape.weights[e] * abs(rank[e] - i) for i, e in enumerate(landscape.target, start=1)])
+
+
+def reference_optimum(landscape, graph=None):
+    """The loop brute_force_optimum replaces: one score per permutation, kept on a strict gain."""
+    best, best_mean = None, -math.inf
+    for perm in permutations(sorted(landscape.target)):
+        if graph is not None and not graph.satisfies(perm):
+            continue
+        mean = reference_fitness(landscape, perm)
+        if mean > best_mean:
+            best, best_mean = perm, mean
+    return best, best_mean
+
+
+@st.composite
+def small_problems(draw):
+    """A landscape of at most 7 elements, with few distinct weights so ties are common, and maybe a graph."""
+    target = tuple(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=7, unique=True)))
+    weight = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 0.1]) | st.floats(-10, 10)
+    weights = {e: draw(weight) for e in target}
+    graph = None
+    if draw(st.booleans()):
+        graph = ConstraintGraph()
+        pair = st.tuples(st.sampled_from(target), st.sampled_from(target)).filter(lambda p: p[0] != p[1])
+        for a, b in draw(st.lists(pair, max_size=len(target))):
+            graph.try_add(RankConstraint(a, b))
+    return HiddenTargetLandscape(target=target, weights=weights), graph
+
+
+class TestBruteForceEqualsTheExhaustiveLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(small_problems())
+    def test_same_optimum_and_ties_to_the_smallest(self, problem):
+        landscape, graph = problem
+        best, mean = brute_force_optimum(landscape, graph)
+        ref_best, ref_mean = reference_optimum(landscape, graph)
+        assert (best, repr(mean)) == (ref_best, repr(ref_mean))
+        ties = [
+            p for p in permutations(landscape.target)
+            if (graph is None or graph.satisfies(p)) and reference_fitness(landscape, p) == mean
+        ]
+        assert best == min(ties)
+
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch):
+        target = (5, 3, 6, 1, 4, 2)
+        landscape = HiddenTargetLandscape(target=target, weights={e: 1.0 / (e + 0.3) for e in target})
+        g = ConstraintGraph()
+        for a, b in ((2, 5), (6, 3)):
+            g.try_add(RankConstraint(a, b))
+        expected = [reference_optimum(landscape), reference_optimum(landscape, g)]
+        for chunk in (1, 7, 720, 10**6):
+            monkeypatch.setattr(dca.harness, "BRUTE_FORCE_CHUNK", chunk)
+            assert [brute_force_optimum(landscape), brute_force_optimum(landscape, g)] == expected
 
 
 class TestRunExperiment:

@@ -1,12 +1,34 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dca.harness import RunConfig, run_experiment
-from dca.trace import ConstraintNote, RunContext, TraceRecord, TraceSink, dump_trace, trace_to_csv
+from dca.perm import format_assignment
+from dca.trace import (
+    CSV_HEADER,
+    DECISION_ACCEPTED_WORSE,
+    DECISION_IMPROVED,
+    DECISION_REJECTED_WORSE,
+    MARKER_ACCEPTED_WORSE,
+    MARKER_NONE,
+    MARKER_REJECTED_WORSE,
+    MARKER_STAR,
+    ConstraintNote,
+    RunContext,
+    TraceRecord,
+    TraceSink,
+    csv_row,
+    dump_trace,
+    trace_line,
+    trace_to_csv,
+)
 
 
 def record(test_id, assignment, mean, phase=1):
@@ -173,3 +195,111 @@ def test_seeded_trace_bytes_are_pinned(name, tmp_path):
     run_experiment(RunConfig.from_dict(doc), tmp_path)
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
     assert (digest("trace.jsonl"), digest("trace.csv")) == (jsonl_sha, csv_sha)
+
+
+# The serialisers that trace_line and csv_row replace: the record's fields
+# encoded with sorted keys, and the flat row written by csv.writer.
+class _Echo:
+    def write(self, line):
+        return line
+
+
+REFERENCE_CSV = csv.writer(_Echo(), lineterminator="\n")
+REFERENCE_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def reference_dict(record: TraceRecord) -> dict:
+    doc = {
+        "test_id": record.test_id,
+        "phase": record.phase,
+        "assignment": format_assignment(record.assignment),
+        "mean": record.mean,
+        "se": record.se,
+        "n_games": record.n_games,
+        "marker": record.marker,
+    }
+    if record.annotations:
+        doc["annotations"] = [
+            {"kind": "induced" if n.induced else "not-induced", "before": n.before, "after": n.after,
+             "tests": list(n.tests), "gap": n.gap, "threshold": n.threshold}
+            for n in record.annotations
+        ]
+    if record.phase == 2:
+        doc["temperature"] = record.temperature
+        doc["delta"] = record.delta
+        doc["probability"] = record.probability
+        doc["decision"] = record.decision
+        if record.cached:
+            doc["cached"] = True
+        if record.reeval:
+            doc["reeval"] = True
+    return doc
+
+
+def reference_csv_row(record: TraceRecord) -> str:
+    notes = "; ".join(
+        ("" if n.induced else "[") + f"{n.before}<{n.after}" + ("" if n.induced else "]")
+        for n in record.annotations
+    )
+    return REFERENCE_CSV.writerow(
+        [record.test_id, record.phase, format_assignment(record.assignment), record.mean, record.se,
+         record.n_games, record.marker, record.temperature, record.delta, record.probability,
+         record.decision, notes]
+    )
+
+
+reals = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]), st.floats())
+ids = st.integers(min_value=1, max_value=10**9)
+notes = st.builds(
+    ConstraintNote,
+    induced=st.booleans(),
+    before=ids,
+    after=ids,
+    tests=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    gap=reals,
+    threshold=reals,
+)
+records = st.builds(
+    TraceRecord,
+    test_id=st.integers(0, 10**6),
+    phase=st.sampled_from([1, 2]),
+    assignment=st.lists(ids, min_size=2, max_size=80, unique=True).map(tuple),
+    mean=reals,
+    se=reals,
+    n_games=st.integers(1, 10**6),
+    marker=st.sampled_from([MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE]),
+    annotations=st.lists(notes, max_size=4),
+    temperature=st.none() | reals,
+    delta=st.none() | reals,
+    probability=st.none() | reals,
+    decision=st.sampled_from([None, DECISION_IMPROVED, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE]),
+    cached=st.booleans(),
+    reeval=st.booleans(),
+)
+
+
+class TestRowSerialisation:
+    @given(records)
+    def test_trace_line_equals_the_sorted_key_encoding(self, record):
+        expected = REFERENCE_JSON.encode(reference_dict(record)) + "\n"
+        assert trace_line(record) == expected
+        assert trace_line(record, format_assignment(record.assignment)) == expected
+
+    @given(records)
+    def test_csv_row_equals_csv_writer(self, record):
+        expected = reference_csv_row(record)
+        assert csv_row(record) == expected
+        assert csv_row(record, format_assignment(record.assignment)) == expected
+
+    @given(records)
+    def test_every_key_list_is_sorted(self, record):
+        doc = record.to_dict()
+        assert list(doc) == sorted(doc)
+        for note in doc.get("annotations", []):
+            assert list(note) == sorted(note)
+
+    def test_csv_header_equals_csv_writer(self):
+        assert CSV_HEADER == REFERENCE_CSV.writerow(
+            ["test_id", "phase", "assignment", "mean", "se", "n_games", "marker",
+             "temperature", "delta", "probability", "decision", "annotations"]
+        )
