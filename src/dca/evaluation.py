@@ -60,14 +60,19 @@ def untrustworthy(est: FitnessEstimate) -> Optional[str]:
     return None
 
 
+def _unsigned_zero(text: str) -> str:
+    """`text` without the minus sign of a value that rounds to zero, such as -0.0."""
+    return text[1:] if text.startswith("-") and not text.strip("-0.") else text
+
+
 def format_mean(value: float) -> str:
-    """Fixed trace formatting for goal-difference means (5 decimals)."""
-    return f"{value:.5f}"
+    """Fixed trace formatting for goal-difference means (5 decimals); zero is unsigned."""
+    return _unsigned_zero(f"{value:.5f}")
 
 
 def format_se(value: float) -> str:
-    """Fixed trace formatting for standard errors (6 decimals)."""
-    return f"{value:.6f}"
+    """Fixed trace formatting for standard errors (6 decimals); zero is unsigned."""
+    return _unsigned_zero(f"{value:.6f}")
 
 
 def aggregate(samples: Sequence[float]) -> FitnessEstimate:

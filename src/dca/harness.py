@@ -15,7 +15,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import compress, islice, permutations
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -366,20 +366,30 @@ def brute_force_optimum(
     Ties go to the lexicographically smallest assignment. The permutations
     are scored `BRUTE_FORCE_CHUNK` at a time by `landscape.scores`: at n=9
     that takes about 0.4 s against 0.9-1.3 s for one `true_fitness` call
-    each (shared 2-vCPU Xeon VM).
+    each (shared 2-vCPU Xeon VM). A graph filters each chunk as one array
+    before it is scored, instead of one `graph.satisfies` call per
+    permutation.
     """
-    elements = landscape.elements
+    elements = landscape.elements  # sorted, so permutations come in lexicographic order
     n = len(elements)
     if n > BRUTE_FORCE_MAX_N:
         raise ConfigError(
             f"brute force refuses n={n} (> {BRUTE_FORCE_MAX_N}); run the two-phase optimiser instead"
         )
-    perms = permutations(elements)
     if graph is not None:
-        perms = filter(graph.satisfies, perms)
+        graph.violations(elements)  # raises naming any graph element the landscape lacks
+        index = {e: k for k, e in enumerate(elements)}
+        edges = np.array([(index[b], index[a]) for b, a in graph.edge_pairs()], np.intp).reshape(-1, 2)
+    perms = permutations(elements)
     best: Optional[Assignment] = None
     best_mean = -math.inf
     while chunk := list(islice(perms, BRUTE_FORCE_CHUNK)):
+        if graph is not None:
+            # Column k of `at` is where elements[k] stands in each permutation.
+            at = np.argsort(np.array(chunk), axis=1)
+            chunk = list(compress(chunk, (at[:, edges[:, 0]] < at[:, edges[:, 1]]).all(axis=1).tolist()))
+            if not chunk:
+                continue
         for perm, mean in zip(chunk, landscape.scores(chunk)):
             if mean > best_mean:
                 best, best_mean = perm, mean

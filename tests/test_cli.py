@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from dca.cli import main
-from dca.evaluation import FitnessEstimate, Oracle, ReplayFixture
+from dca.evaluation import FitnessEstimate, Oracle, ReplayFixture, format_mean, format_se
 from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, packaged_fixtures_dir
 from dca.trace import dump_trace, read_trace, trace_to_csv
 
@@ -149,6 +150,23 @@ def test_brute_subcommand(tmp_path, capsys):
     landscape.write_text(json.dumps({"target": "3 1 2", "weights": 1.0, "sigma": 0.0}))
     assert main(["brute", "--landscape", str(landscape)]) == 0
     assert "3 1 2" in capsys.readouterr().out
+
+
+def test_brute_prints_an_unsigned_zero_mean(tmp_path, capsys):
+    # The optimum is the target, whose score is -0.0.
+    landscape = tmp_path / "landscape.json"
+    landscape.write_text(json.dumps({"target": "3 1 2", "weights": [0.5, 1.5, 2.5]}))
+    assert main(["brute", "--landscape", str(landscape)]) == 0
+    assert capsys.readouterr().out == "optimum: 3 1 2  mean 0.00000\n"
+
+
+@pytest.mark.parametrize(
+    "value, mean, se",
+    [(-0.0, "0.00000", "0.000000"), (-4e-7, "0.00000", "0.000000"), (-4e-6, "0.00000", "-0.000004"),
+     (-6e-6, "-0.00001", "-0.000006"), (0.0, "0.00000", "0.000000"), (-math.inf, "-inf", "-inf")],
+)
+def test_means_and_errors_that_round_to_zero_print_unsigned(value, mean, se):
+    assert (format_mean(value), format_se(value)) == (mean, se)
 
 
 def test_brute_with_graph(tmp_path, capsys):
@@ -361,11 +379,21 @@ def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
 
 ROW = {"test_id": 0, "phase": 1, "assignment": "1 2 3", "mean": -1.0, "se": 0.1, "n_games": 10}
 BAD_NOTE = {"kind": "induced", "before": 1, "after": 2, "tests": 5, "gap": 0.2, "threshold": 0.1}
+# Trace lines that parse as JSON but are not trace rows, by test case.
+BAD_ROWS = {
+    "trace-note": {**ROW, "annotations": [BAD_NOTE]},
+    "trace-note-tests": {**ROW, "annotations": [{**BAD_NOTE, "tests": [0]}]},
+    "trace-note-kind": {**ROW, "annotations": [{**BAD_NOTE, "kind": "maybe", "tests": [0, 1]}]},
+    "trace-assignment": {**ROW, "assignment": 5},
+    "trace-marker": {**ROW, "marker": 'a "quoted" star'},
+    "trace-decision": {**ROW, "phase": 2, "decision": "kept"},
+}
 
 
 @pytest.mark.parametrize(
     "case",
-    ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", "trace-note"],
+    ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", *BAD_ROWS,
+     "trace-not-utf8"],
 )
 def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, capsys):
     missing = str(tmp_path / "missing")
@@ -373,8 +401,10 @@ def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, ca
     trace = tmp_path / "trace.jsonl"
     if case == "trace-number":
         trace.write_text(json.dumps(ROW) + "\n5\n")
-    elif case == "trace-note":
-        trace.write_text(json.dumps({**ROW, "annotations": [BAD_NOTE]}) + "\n")
+    elif case == "trace-not-utf8":
+        trace.write_bytes(b"\xff\xfe")
+    elif case in BAD_ROWS:
+        trace.write_text(json.dumps(BAD_ROWS[case]) + "\n")
     elif case == "replay-path":
         doc = json.loads(synthetic_config_file.read_text())
         doc["oracle"] = {"kind": "replay", "path": missing}
@@ -386,13 +416,13 @@ def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, ca
         "landscape": ["brute", "--landscape", missing],
         "trace": ["export-dag", "--trace", missing, "--out", str(tmp_path / "dag.dot")],
         "graph": ["phase2", "--config", config, "--graph", missing, "--start", "2 4 1 3"],
-        "trace-number": ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")],
-        "trace-note": ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")],
-    }[case]
+    }.get(case, ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if case.startswith("trace-"):
+    if case == "trace-not-utf8":
+        assert f"{trace}: not a UTF-8 trace" in err
+    elif case.startswith("trace-"):
         assert f"{trace}:{2 if case == 'trace-number' else 1}: unparseable trace line" in err
     else:
         assert "No such file or directory" in err and missing in err

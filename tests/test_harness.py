@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import dca.harness
 
 from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
-from dca.errors import ConfigError, ReplayMissError
+from dca.errors import ConfigError, IncompatibleAssignmentsError, ReplayMissError
 from dca.evaluation import HiddenTargetLandscape, ReplayFixture
 from dca.harness import (
     FIXTURE_TABLE1_2,
@@ -28,7 +28,7 @@ from dca.harness import (
     replay_verify,
     run_experiment,
 )
-from dca.trace import dump_trace, read_trace
+from dca.trace import dump_trace, read_trace, trace_line
 
 
 def unit_landscape(target, sigma=0.0):
@@ -207,6 +207,15 @@ class TestBruteForceEqualsTheExhaustiveLoop:
         ]
         assert best == min(ties)
 
+    def test_graph_errors_and_an_empty_graph(self):
+        landscape = unit_landscape((3, 1, 2))
+        g = ConstraintGraph()
+        assert brute_force_optimum(landscape, g) == brute_force_optimum(landscape)
+        for a, b in ((2, 3), (5, 1)):
+            g.try_add(RankConstraint(a, b))
+        with pytest.raises(IncompatibleAssignmentsError, match=r"graph elements \[5\] missing from assignment 1 2 3$"):
+            brute_force_optimum(landscape, g)
+
     def test_chunk_boundaries_do_not_matter(self, monkeypatch):
         target = (5, 3, 6, 1, 4, 2)
         landscape = HiddenTargetLandscape(target=target, weights={e: 1.0 / (e + 0.3) for e in target})
@@ -291,7 +300,7 @@ class TestRunExperiment:
         path = tmp_path / "trace.jsonl"
         path.write_text(dump_trace(summary.trace))
         parsed = read_trace(path)
-        assert [r.to_dict() for r in parsed] == [r.to_dict() for r in summary.trace]
+        assert [trace_line(r) for r in parsed] == [trace_line(r) for r in summary.trace]
 
     def test_csv_export_parses_back(self, tmp_path):
         summary = run_experiment(synthetic_config(), out_dir=tmp_path / "out")

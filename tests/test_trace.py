@@ -3,7 +3,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
+import tempfile
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,6 +30,7 @@ from dca.trace import (
     TraceSink,
     csv_row,
     dump_trace,
+    read_trace,
     trace_line,
     trace_to_csv,
 )
@@ -293,13 +298,91 @@ class TestRowSerialisation:
 
     @given(records)
     def test_every_key_list_is_sorted(self, record):
-        doc = record.to_dict()
-        assert list(doc) == sorted(doc)
-        for note in doc.get("annotations", []):
-            assert list(note) == sorted(note)
+        key_lists = []
+
+        def keep_keys(pairs):
+            key_lists.append([key for key, _ in pairs])
+            return dict(pairs)
+
+        doc = json.loads(trace_line(record), object_pairs_hook=keep_keys)
+        assert len(key_lists) == 1 + len(doc.get("annotations", []))
+        for keys in key_lists:
+            assert keys == sorted(keys)
 
     def test_csv_header_equals_csv_writer(self):
         assert CSV_HEADER == REFERENCE_CSV.writerow(
             ["test_id", "phase", "assignment", "mean", "se", "n_games", "marker",
              "temperature", "delta", "probability", "decision", "annotations"]
         )
+
+
+# Rows as runs write them: an assignment is a permutation of 1..n; a phase-1
+# row may carry notes and has no phase-2 fields; a phase-2 row has all of
+# them, set or None, and may be cached or a re-evaluation.
+edge_reals = st.sampled_from([-0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan])
+run_reals = edge_reals | st.floats(-50.0, 0.0) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def run_rows(draw, test_id):
+    n = draw(st.integers(2, 40))
+    common = dict(
+        test_id=test_id,
+        assignment=tuple(draw(st.permutations(range(1, n + 1)))),
+        mean=draw(run_reals),
+        se=draw(run_reals),
+        n_games=draw(st.sampled_from([1, 1000, 2000, 16000])),
+    )
+    if draw(st.booleans()):
+        elements = st.integers(1, n)
+        return TraceRecord(
+            phase=1,
+            marker=draw(st.sampled_from([MARKER_NONE, MARKER_STAR])),
+            annotations=draw(st.lists(st.builds(
+                ConstraintNote, induced=st.booleans(), before=elements, after=elements,
+                tests=st.tuples(st.integers(0, test_id), st.integers(0, test_id)),
+                gap=run_reals, threshold=run_reals,
+            ), max_size=3)),
+            **common,
+        )
+    return TraceRecord(
+        phase=2,
+        marker=draw(st.sampled_from([MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE])),
+        temperature=draw(st.none() | run_reals),
+        delta=draw(st.none() | run_reals),
+        probability=draw(st.none() | run_reals),
+        decision=draw(st.sampled_from(
+            [None, DECISION_IMPROVED, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE])),
+        cached=draw(st.booleans()),
+        reeval=draw(st.booleans()),
+        **common,
+    )
+
+
+@st.composite
+def run_traces(draw):
+    count = draw(st.integers(1, 8))
+    return [draw(run_rows(i)) for i in range(count)]
+
+
+class TestLosslessRoundTrip:
+    @given(run_traces(), st.data())
+    def test_sink_files_read_back_to_the_same_rows(self, rows, data):
+        split = data.draw(st.integers(0, len(rows)))
+        with tempfile.TemporaryDirectory() as out:
+            sink = TraceSink(out)
+            sink.flush_to(rows[:split])
+            sink.flush_to(rows)
+            sink.close()
+            offsets = sink._offsets
+            jsonl = (Path(out) / "trace.jsonl").read_bytes()
+            csv_bytes = (Path(out) / "trace.csv").read_bytes()
+            parsed = read_trace(Path(out) / "trace.jsonl")
+        assert jsonl.isascii() and csv_bytes.isascii()
+        assert jsonl.decode() == dump_trace(rows) and csv_bytes.decode() == trace_to_csv(rows)
+        assert [trace_line(r) for r in parsed] == [trace_line(r) for r in rows]
+        assert [csv_row(r) for r in parsed] == [csv_row(r) for r in rows]
+        # Row i starts after the bytes of rows 0..i-1 (and the csv header).
+        json_ends = list(accumulate(map(len, jsonl.splitlines(keepends=True)), initial=0))
+        csv_ends = list(accumulate(map(len, csv_bytes.splitlines(keepends=True))))
+        assert offsets == list(zip(json_ends, csv_ends))
