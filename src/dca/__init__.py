@@ -26,7 +26,6 @@ from .climber import (
 from .constraints import (
     AddOutcome,
     ConstraintGraph,
-    Evidence,
     RankConstraint,
     count_linear_extensions,
 )

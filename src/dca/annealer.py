@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import read_text
 from .constraints import ConstraintGraph
 from .errors import ConfigError, InvalidTemperatureError
 from .evaluation import CachingEvaluator, FitnessEstimate
@@ -214,7 +215,7 @@ def run_phase2(
     # Mandatory high-precision re-evaluation of the incumbent at phase entry.
     # When the start was already traced (a continued run), the re-test keeps
     # its original test id, matching the printed tables.
-    current_est, _ = evaluator.estimate(start, config.n_games_hi)
+    current_est, fresh = evaluator.estimate(start, config.n_games_hi)
     prior_id = run.id_of(start)
     reeval_id = prior_id if prior_id is not None else run.fresh_id()
     run.add(
@@ -226,6 +227,7 @@ def run_phase2(
             se=current_est.se,
             n_games=current_est.n_games,
             marker=MARKER_STAR,
+            cached=not fresh,
             reeval=True,
         )
     )
@@ -294,7 +296,7 @@ def run_phase2(
 
 
 def load_scripted_moves(path: str | Path) -> list[Assignment]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, "scripted move file").splitlines()
     moves = [parse_assignment(line) for line in lines if line.strip()]
     if not moves:
         raise ConfigError(f"{path}: scripted move file holds no assignments")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .annealer import TemperatureSchedule, run_phase2
 from .climber import run_phase1
-from .config import read_json_file
+from .config import read_json_file, read_text
 from .constraints import from_edge_list_text, to_dot, to_edge_list_text
 from .errors import DcaError
 from .evaluation import HiddenTargetLandscape, format_mean
@@ -82,8 +82,7 @@ def cmd_phase1(args: argparse.Namespace) -> int:
         result = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
     print(f"best: {format_assignment(result.best)}  mean {format_mean(result.best_estimate.mean)}")
     for d in result.decisions:
-        tag = f"{d.constraint.before}<{d.constraint.after}"
-        print(f"  {d.outcome}: {tag}")
+        print(f"  {d.outcome}: {d.before}<{d.after}")
     if args.out:
         (Path(args.out) / "constraints.txt").write_text(to_edge_list_text(result.graph))
     return 0
@@ -91,7 +90,7 @@ def cmd_phase1(args: argparse.Namespace) -> int:
 
 def cmd_phase2(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(RunConfig.from_json_file(args.config), args)
-    graph = from_edge_list_text(Path(args.graph).read_text())
+    graph = from_edge_list_text(read_text(args.graph, "edge list"))
     start = parse_assignment(args.start)
     with assemble(cfg, args.out) as parts:
         result = run_phase2(
@@ -117,7 +116,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_brute(args: argparse.Namespace) -> int:
     landscape = HiddenTargetLandscape.from_config(read_json_file(args.landscape))
-    graph = from_edge_list_text(Path(args.graph).read_text()) if args.graph else None
+    graph = from_edge_list_text(read_text(args.graph, "edge list")) if args.graph else None
     best, mean = brute_force_optimum(landscape, graph)
     print(f"optimum: {format_assignment(best)}  mean {format_mean(mean)}")
     return 0

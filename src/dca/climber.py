@@ -13,22 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constraints import AddOutcome, ConstraintGraph, Evidence, RankConstraint
+from .constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from .errors import ConfigError
 from .evaluation import CachingEvaluator, FitnessEstimate, significant_difference
 from .perm import Assignment, adjacent_transposition_diff, insertion_move, rank_of
-from .trace import (
-    MARKER_NONE,
-    MARKER_STAR,
-    ConstraintNote,
-    RunContext,
-    TraceRecord,
-)
+from .trace import MARKER_NONE, MARKER_STAR, RunContext, TraceRecord
 
 SCOPE_FLANKING = "flanking"
 SCOPE_ALL_PAIRS = "all-pairs"
-
-NOT_INDUCED = "not-induced"
 
 
 @dataclass
@@ -86,37 +78,20 @@ class SweepState:
 
 
 @dataclass
-class InductionDecision:
-    """Outcome of one adjacent-pair comparison submitted by a sweep."""
-
-    constraint: RankConstraint
-    outcome: str  # AddOutcome value or "not-induced"
-    ranks: tuple[int, int]
-
-    @property
-    def induced(self) -> bool:
-        return self.outcome == AddOutcome.ADDED.value
-
-
-@dataclass
 class Phase1Result:
     best: Assignment
     best_estimate: FitnessEstimate
     graph: ConstraintGraph
     sweeps: list[SweepState]
-    decisions: list[InductionDecision]
+    decisions: list[RankConstraint]
     evaluations_used: int
 
     def induced_pairs(self) -> set[tuple[int, int]]:
-        return {d.constraint.pair() for d in self.decisions if d.induced}
+        return {d.pair() for d in self.decisions if d.induced}
 
     def bracketed_pairs(self) -> set[frozenset[int]]:
         """Below-gate pairs, unordered (the printed direction is display-only)."""
-        return {
-            frozenset(d.constraint.pair())
-            for d in self.decisions
-            if d.outcome == NOT_INDUCED
-        }
+        return {frozenset(d.pair()) for d in self.decisions if d.outcome == NOT_INDUCED}
 
 
 def run_sweep(
@@ -198,16 +173,17 @@ def induce_from_sweep(
     tau: float,
     scope: str,
     run: RunContext,
-) -> list[InductionDecision]:
+) -> list[RankConstraint]:
     """Turn the sweep's neighbouring-rank comparisons into ranking constraints.
 
     Each candidate pair differs by one adjacent transposition of the swept
     element and the element it displaced. When the fitness gap clears the
     noise gate, the ordering of the fitter side is submitted to the graph;
-    otherwise the pair is reported as not-induced. Annotations land on the
-    trace row of the later test of each pair.
+    otherwise the pair is reported as not-induced. One record per comparison
+    holds its outcome; an added or not-induced one also lands on the trace
+    row of the later test of the pair.
     """
-    decisions: list[InductionDecision] = []
+    decisions: list[RankConstraint] = []
     for lo_rank, hi_rank in _candidate_pairs(sweep, scope):
         lo, hi = sweep.probes[lo_rank], sweep.probes[hi_rank]
         # Consecutive sweep ranks differ by one adjacent transposition at
@@ -223,29 +199,14 @@ def induce_from_sweep(
             before, after = lo.assignment[lo_rank - 1], lo.assignment[lo_rank]
         else:
             before, after = hi.assignment[lo_rank - 1], hi.assignment[lo_rank]
-        constraint = RankConstraint(
-            before=before,
-            after=after,
-            evidence=Evidence(tests=(lo.test_id, hi.test_id), gap=gap, threshold=threshold),
-        )
+        c = RankConstraint(before, after, (lo.test_id, hi.test_id), gap, threshold)
         if significant_difference(lo.estimate, hi.estimate, tau):
-            outcome = graph.try_add(constraint).value
+            c.outcome = graph.try_add(c).value
         else:
-            outcome = NOT_INDUCED
-        decision = InductionDecision(constraint=constraint, outcome=outcome, ranks=(lo_rank, hi_rank))
-        decisions.append(decision)
-        if outcome in (AddOutcome.ADDED.value, NOT_INDUCED):
-            run.annotate(
-                max(lo.test_id, hi.test_id),
-                ConstraintNote(
-                    induced=outcome == AddOutcome.ADDED.value,
-                    before=before,
-                    after=after,
-                    tests=(lo.test_id, hi.test_id),
-                    gap=gap,
-                    threshold=threshold,
-                ),
-            )
+            c.outcome = NOT_INDUCED
+        decisions.append(c)
+        if c.induced or c.outcome == NOT_INDUCED:
+            run.annotate(max(lo.test_id, hi.test_id), c)
     return decisions
 
 
@@ -286,7 +247,7 @@ def run_phase1(
 
     best, best_estimate = x0, baseline_estimate
     sweeps: list[SweepState] = []
-    decisions: list[InductionDecision] = []
+    decisions: list[RankConstraint] = []
 
     run.checkpoint()
     for element in order:

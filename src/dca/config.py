@@ -1,6 +1,6 @@
-"""Readers for the run config and the oracle and landscape specs, and their JSON files.
+"""Readers for input files, the run config and the oracle and landscape specs.
 
-Each reports a value it cannot use as a ConfigError naming the setting.
+Each reports a file or a value it cannot use as a ConfigError naming the file or the setting.
 """
 
 from __future__ import annotations
@@ -12,11 +12,20 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 are a ConfigError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not a UTF-8 {what}: {err}") from err
+
+
 def read_json_file(path: str | Path):
     """The JSON document in the file at `path`; a file that is not JSON is a ConfigError."""
+    text = read_text(path, "JSON file")
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
 
 

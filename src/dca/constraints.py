@@ -16,32 +16,40 @@ from .errors import IncompatibleAssignmentsError, InvalidConstraintError
 from .perm import Assignment, Move, format_assignment
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """Which comparison produced a constraint: test-id pair, gap, gate used."""
-
-    tests: tuple[int, int]
-    gap: float
-    threshold: float
-
-
-@dataclass(frozen=True)
-class RankConstraint:
-    """Preference 'before' ahead of 'after', with the evidence that induced it."""
-
-    before: int
-    after: int
-    evidence: Optional[Evidence] = None
-
-    def pair(self) -> tuple[int, int]:
-        return (self.before, self.after)
-
-
 class AddOutcome(str, enum.Enum):
     ADDED = "added"
     DUPLICATE = "duplicate"
     REDUNDANT = "redundant"
     CYCLE_REJECTED = "cycle-rejected"
+
+
+# The outcome of a comparison below the noise gate: never submitted to a graph.
+NOT_INDUCED = "not-induced"
+
+
+@dataclass
+class RankConstraint:
+    """One phase-1 comparison: 'before' ranked ahead of 'after', and what came of it.
+
+    `tests` are the two compared test ids (rank order), `gap` their mean
+    difference and `threshold` the noise gate it was held against; an edge
+    read from a bare 'i < j' line has none of them. `outcome` is an
+    AddOutcome value or NOT_INDUCED.
+    """
+
+    before: int
+    after: int
+    tests: Optional[tuple[int, int]] = None
+    gap: Optional[float] = None
+    threshold: Optional[float] = None
+    outcome: str = AddOutcome.ADDED.value
+
+    def pair(self) -> tuple[int, int]:
+        return (self.before, self.after)
+
+    @property
+    def induced(self) -> bool:
+        return self.outcome == AddOutcome.ADDED.value
 
 
 class ConstraintGraph:
@@ -63,14 +71,18 @@ class ConstraintGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return set(self._edges)
 
-    def reaches(self, a: int, b: int) -> bool:
-        """True when a path a -> ... -> b exists in the core set."""
+    def reaches(self, a: int, b: int, skip: Optional[tuple[int, int]] = None) -> bool:
+        """True when a path a -> ... -> b exists in the core set, not using the edge `skip` if given."""
         if a == b:
             return True
         stack = [a]
         seen = {a}
         while stack:
-            for nxt in self._succ.get(stack.pop(), ()):
+            node = stack.pop()
+            succ = self._succ.get(node, ())
+            if skip is not None and node == skip[0]:
+                succ = succ - {skip[1]}
+            for nxt in succ:
                 if nxt == b:
                     return True
                 if nxt not in seen:
@@ -136,26 +148,11 @@ class ConstraintGraph:
     def satisfies(self, x: Assignment) -> bool:
         return self.violations(x) == 0
 
-    def _reaches_avoiding(self, a: int, b: int, skip: tuple[int, int]) -> bool:
-        stack = [a]
-        seen = {a}
-        while stack:
-            node = stack.pop()
-            for nxt in self._succ.get(node, ()):
-                if (node, nxt) == skip:
-                    continue
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     def transitive_reduction(self) -> "ConstraintGraph":
         """Minimal edge set with the same reachability relation."""
         reduced = ConstraintGraph()
         for (before, after), c in self._edges.items():
-            if not self._reaches_avoiding(before, after, skip=(before, after)):
+            if not self.reaches(before, after, skip=(before, after)):
                 reduced.try_add(c)
         for node in self.nodes:
             reduced._succ.setdefault(node, set())
@@ -192,21 +189,20 @@ def count_linear_extensions(g: ConstraintGraph, elements: Sequence[int]) -> int:
 
 
 def to_edge_list_text(g: ConstraintGraph) -> str:
-    """One 'i < j # test_a,test_b gap=G thr=T' line per core edge."""
+    """One 'i < j # test_a,test_b gap=G thr=T' line per core edge; 'i < j' for one without tests."""
     lines = []
     for c in g.edges():
-        if c.evidence is None:
+        if c.tests is None:
             lines.append(f"{c.before} < {c.after}")
         else:
-            a, b = c.evidence.tests
             lines.append(
-                f"{c.before} < {c.after} # {a},{b} "
-                f"gap={c.evidence.gap:.6f} thr={c.evidence.threshold:.6f}"
+                f"{c.before} < {c.after} # {c.tests[0]},{c.tests[1]} gap={c.gap:.6f} thr={c.threshold:.6f}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def from_edge_list_text(text: str) -> ConstraintGraph:
+    """The graph of an edge list; a duplicate or implied line is kept out, one closing a cycle raises."""
     g = ConstraintGraph()
     for raw in text.splitlines():
         line = raw.strip()
@@ -218,20 +214,19 @@ def from_edge_list_text(text: str) -> ConstraintGraph:
             before, after = int(before_s), int(after_s)
         except ValueError as err:
             raise InvalidConstraintError(f"unparseable edge line {raw!r}") from err
-        evidence = None
+        c = RankConstraint(before, after)
         note = note.strip()
         if note:
             try:
                 tests_part, gap_part, thr_part = note.split()
                 ta, tb = (int(t) for t in tests_part.split(","))
-                evidence = Evidence(
-                    tests=(ta, tb),
-                    gap=float(gap_part.removeprefix("gap=")),
-                    threshold=float(thr_part.removeprefix("thr=")),
-                )
+                c.tests = (ta, tb)
+                c.gap = float(gap_part.removeprefix("gap="))
+                c.threshold = float(thr_part.removeprefix("thr="))
             except ValueError as err:
                 raise InvalidConstraintError(f"unparseable evidence in {raw!r}") from err
-        g.try_add(RankConstraint(before, after, evidence))
+        if g.try_add(c) is AddOutcome.CYCLE_REJECTED:
+            raise InvalidConstraintError(f"edge line {raw!r} closes a cycle")
     return g
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check_keys, integer, read, real, required
+from .config import check_keys, integer, read, read_text, real, required
 from .errors import (
     ConfigError,
     ElementNotFoundError,
@@ -314,7 +314,7 @@ class ReplayFixture:
     @classmethod
     def load(cls, path: str | Path) -> "ReplayFixture":
         path = Path(path)
-        lines = path.read_text().splitlines()
+        lines = read_text(path, "replay fixture").splitlines()
         if not lines or lines[0].strip() != REPLAY_HEADER:
             raise ConfigError(f"{path}: missing replay header {REPLAY_HEADER!r}")
         records: dict[str, FitnessEstimate] = {}

@@ -33,7 +33,7 @@ from .annealer import (
 )
 from .climber import Phase1Config, Phase1Result, run_phase1
 from .config import check_keys, integer, read, read_json_file, real, required
-from .constraints import ConstraintGraph, Evidence, RankConstraint, to_dot, to_edge_list_text
+from .constraints import ConstraintGraph, to_dot, to_edge_list_text
 from .errors import ConfigError
 from .evaluation import (
     CachingEvaluator,
@@ -220,7 +220,7 @@ class ExperimentSummary:
             "phase1": {
                 "best": format_assignment(self.phase1.best),
                 "mean": self.phase1.best_estimate.mean,
-                "constraints": [list(p) for p in (d.constraint.pair() for d in self.phase1.decisions if d.induced)],
+                "constraints": [list(d.pair()) for d in self.phase1.decisions if d.induced],
                 "tests": self.phase1_tests,
                 "games": self.phase1_games,
             },
@@ -345,13 +345,7 @@ def graph_from_trace(records: list[TraceRecord]) -> ConstraintGraph:
     for record in records:
         for note in record.annotations:
             if note.induced:
-                g.try_add(
-                    RankConstraint(
-                        note.before,
-                        note.after,
-                        Evidence(tests=note.tests, gap=note.gap, threshold=note.threshold),
-                    )
-                )
+                g.try_add(note)
     return g
 
 
@@ -452,7 +446,7 @@ def replay_verify(fixtures_dir: Optional[str | Path] = None) -> ReplayReport:
     discrepancies: list[str] = []
     details: dict = {}
 
-    observed_constraints = [d.constraint.pair() for d in summary.phase1.decisions if d.induced]
+    observed_constraints = [d.pair() for d in summary.phase1.decisions if d.induced]
     expected_constraints = set(TABLE_CONSTRAINTS)
     missing = expected_constraints - set(observed_constraints)
     extra = set(observed_constraints) - expected_constraints

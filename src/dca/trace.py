@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .config import read_text
+from .constraints import NOT_INDUCED, AddOutcome, RankConstraint
 from .errors import ConfigError, DcaError
 from .perm import Assignment, format_assignment, parse_assignment
 
@@ -32,37 +34,18 @@ DECISION_REJECTED_WORSE = "rejected-worse"
 # rejects any other.
 MARKERS = frozenset({MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE})
 DECISIONS = frozenset({None, DECISION_IMPROVED, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE})
-NOTE_KINDS = ("induced", "not-induced")
+# A note's "kind" word for each outcome a trace row is annotated with.
+NOTE_KINDS = {"induced": AddOutcome.ADDED.value, "not-induced": NOT_INDUCED}
 
 
-@dataclass
-class ConstraintNote:
-    """Induction annotation on a trace row.
-
-    induced=False marks a below-gate comparison: the bracketed entries of the
-    printed tables, where a possible constraint was noted but not induced.
-    """
-
-    induced: bool
-    before: int
-    after: int
-    tests: tuple[int, int]
-    gap: float
-    threshold: float
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConstraintNote":
-        if doc["kind"] not in NOTE_KINDS:
-            raise ValueError(f"unknown note kind {doc['kind']!r}")
-        first, second = doc["tests"]
-        return cls(
-            induced=doc["kind"] == "induced",
-            before=doc["before"],
-            after=doc["after"],
-            tests=(first, second),
-            gap=doc["gap"],
-            threshold=doc["threshold"],
-        )
+def parse_note(doc: dict) -> RankConstraint:
+    """The comparison of a trace row's note; "induced" reads as outcome "added"."""
+    if doc["kind"] not in NOTE_KINDS:
+        raise ValueError(f"unknown note kind {doc['kind']!r}")
+    first, second = doc["tests"]
+    return RankConstraint(
+        doc["before"], doc["after"], (first, second), doc["gap"], doc["threshold"], NOTE_KINDS[doc["kind"]]
+    )
 
 
 @dataclass
@@ -74,7 +57,7 @@ class TraceRecord:
     se: float
     n_games: int
     marker: str = MARKER_NONE
-    annotations: list[ConstraintNote] = field(default_factory=list)
+    annotations: list[RankConstraint] = field(default_factory=list)
     temperature: Optional[float] = None
     delta: Optional[float] = None
     probability: Optional[float] = None
@@ -95,7 +78,7 @@ class TraceRecord:
             se=doc["se"],
             n_games=doc["n_games"],
             marker=marker,
-            annotations=[ConstraintNote.from_dict(n) for n in doc.get("annotations", [])],
+            annotations=[parse_note(n) for n in doc.get("annotations", [])],
             temperature=doc.get("temperature"),
             delta=doc.get("delta"),
             probability=doc.get("probability"),
@@ -114,7 +97,7 @@ def _number(value: Optional[float]) -> str:
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
-def _note_json(n: ConstraintNote) -> str:
+def _note_json(n: RankConstraint) -> str:
     return (
         f'{{"after": {n.after}, "before": {n.before}, "gap": {_number(n.gap)}, '
         f'"kind": "{"induced" if n.induced else "not-induced"}", '
@@ -158,10 +141,7 @@ def dump_trace(records: list[TraceRecord]) -> str:
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """The records of a trace.jsonl; a line that is not a trace row is a ConfigError naming it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not a UTF-8 trace: {err}") from err
+    text = read_text(path, "trace")
     records = []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -300,7 +280,7 @@ class RunContext:
             self.best_mean = record.mean
         return record
 
-    def annotate(self, test_id: int, note: ConstraintNote) -> None:
+    def annotate(self, test_id: int, note: RankConstraint) -> None:
         """Attach `note` to the row of `test_id`, if the trace has one."""
         row = self.by_id.get(test_id)
         if row is None:

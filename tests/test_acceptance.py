@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from dca.annealer import TemperatureSchedule, acceptance_probability
-from dca.climber import NOT_INDUCED, Phase1Config, run_phase1
-from dca.constraints import ConstraintGraph, RankConstraint
+from dca.climber import Phase1Config, run_phase1
+from dca.constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from dca.evaluation import (
     CachingEvaluator,
     HiddenTargetLandscape,
@@ -73,12 +73,12 @@ def test_criterion_1_constraint_set_replay():
         oracle = ReplayOracle(ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2))
         result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config())
 
-        induced = [d.constraint.pair() for d in result.decisions if d.induced]
+        induced = [d.pair() for d in result.decisions if d.induced]
         assert set(induced) == set(TABLE_CONSTRAINTS)
         assert len(induced) == 12
         brackets = [d for d in result.decisions if d.outcome == NOT_INDUCED]
         assert len(brackets) == 4
-        assert {frozenset(d.constraint.pair()) for d in brackets} == set(TABLE_BRACKETS)
+        assert {frozenset(d.pair()) for d in brackets} == set(TABLE_BRACKETS)
         assert format_assignment(result.best) == "2 3 5 4 8 10 11 9 6 7"
         assert format_mean(result.best_estimate.mean) == "-3.12261"
         assert time.perf_counter() - started < 1.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -123,6 +124,16 @@ def test_induction_scope_flag(synthetic_config_file, capsys):
         ["phase1", "--config", str(synthetic_config_file), "--induction-scope", "all-pairs"]
     ) == 0
     assert "best:" in capsys.readouterr().out
+
+
+def test_phase2_rejects_an_edge_list_with_a_cycle(synthetic_config_file, tmp_path, capsys):
+    graph_file = tmp_path / "edges.txt"
+    graph_file.write_text("1 < 2\n2 < 3\n3 < 1\n")
+    assert main(
+        ["phase2", "--config", str(synthetic_config_file), "--graph", str(graph_file), "--start", "2 4 1 3"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'3 < 1' closes a cycle" in err
 
 
 def test_replay_exits_zero_on_shipped_fixtures(capsys):
@@ -388,41 +399,59 @@ BAD_ROWS = {
     "trace-marker": {**ROW, "marker": 'a "quoted" star'},
     "trace-decision": {**ROW, "phase": 2, "decision": "kept"},
 }
+# Input files that are not UTF-8, by test case: what the error calls the file.
+NOT_UTF8 = {
+    "trace-not-utf8": "trace",
+    "config-not-utf8": "JSON file",
+    "landscape-not-utf8": "JSON file",
+    "script-moves-not-utf8": "scripted move file",
+    "replay-path-not-utf8": "replay fixture",
+    "fixtures-not-utf8": "replay fixture",
+    "graph-not-utf8": "edge list",
+}
 
 
 @pytest.mark.parametrize(
     "case",
     ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", *BAD_ROWS,
-     "trace-not-utf8"],
+     *NOT_UTF8],
 )
 def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, capsys):
-    missing = str(tmp_path / "missing")
+    # A -not-utf8 case runs its base case's command on a file of bytes that
+    # are not UTF-8 in place of a missing file.
+    path = tmp_path / "missing"
     config = str(synthetic_config_file)
     trace = tmp_path / "trace.jsonl"
+    fixtures = tmp_path / "fixtures"
+    if case == "fixtures-not-utf8":
+        shutil.copytree(packaged_fixtures_dir(), fixtures)
+        path = fixtures / FIXTURE_TABLE1_2
+    if case in NOT_UTF8:
+        path.write_bytes(b"\xff\xfe")
+    base = case.removesuffix("-not-utf8")
     if case == "trace-number":
         trace.write_text(json.dumps(ROW) + "\n5\n")
-    elif case == "trace-not-utf8":
-        trace.write_bytes(b"\xff\xfe")
     elif case in BAD_ROWS:
         trace.write_text(json.dumps(BAD_ROWS[case]) + "\n")
-    elif case == "replay-path":
+    elif base == "replay-path":
         doc = json.loads(synthetic_config_file.read_text())
-        doc["oracle"] = {"kind": "replay", "path": missing}
+        doc["oracle"] = {"kind": "replay", "path": str(path)}
         synthetic_config_file.write_text(json.dumps(doc))
     argv = {
-        "config": ["optimize", "--config", missing],
-        "script-moves": ["optimize", "--config", config, "--script-moves", missing],
+        "config": ["optimize", "--config", str(path)],
+        "script-moves": ["optimize", "--config", config, "--script-moves", str(path)],
         "replay-path": ["optimize", "--config", config],
-        "landscape": ["brute", "--landscape", missing],
-        "trace": ["export-dag", "--trace", missing, "--out", str(tmp_path / "dag.dot")],
-        "graph": ["phase2", "--config", config, "--graph", missing, "--start", "2 4 1 3"],
-    }.get(case, ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")])
+        "fixtures": ["replay", "--fixtures", str(fixtures)],
+        "landscape": ["brute", "--landscape", str(path)],
+        "trace": ["export-dag", "--trace", str(path), "--out", str(tmp_path / "dag.dot")],
+        "graph": ["phase2", "--config", config, "--graph", str(path), "--start", "2 4 1 3"],
+    }.get(base, ["export-dag", "--trace", str(trace), "--out", str(tmp_path / "dag.dot")])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if case == "trace-not-utf8":
-        assert f"{trace}: not a UTF-8 trace" in err
+    if case in NOT_UTF8:
+        assert f"{path}: not a UTF-8 {NOT_UTF8[case]}" in err
     elif case.startswith("trace-"):
         assert f"{trace}:{2 if case == 'trace-number' else 1}: unparseable trace line" in err
     else:
-        assert "No such file or directory" in err and missing in err
+        assert "No such file or directory" in err and str(path) in err

@@ -8,13 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dca.climber import (
-    NOT_INDUCED,
     Phase1Config,
     SweepProbe,
     SweepState,
     run_phase1,
 )
-from dca.constraints import AddOutcome
+from dca.constraints import NOT_INDUCED, AddOutcome
 from dca.errors import ConfigError, ReplayMissError
 from dca.evaluation import (
     CachingEvaluator,
@@ -170,53 +169,53 @@ class TestSweepBoundaries:
 class TestInduction:
     def test_element_11_sweep_adds_both_flanking_constraints(self, replay_result):
         result = replay_result[0]
-        first = [d for d in result.decisions if d.constraint.evidence.tests[1] <= 4]
-        assert [(d.constraint.pair(), d.outcome) for d in first] == [
+        first = [d for d in result.decisions if d.tests[1] <= 4]
+        assert [(d.pair(), d.outcome) for d in first] == [
             ((10, 11), "added"),
             ((11, 9), "added"),
         ]
-        gaps = [d.constraint.evidence.gap for d in first]
+        gaps = [d.gap for d in first]
         assert gaps == [pytest.approx(0.14811), pytest.approx(0.17639)]
 
     def test_element_4_sweep_brackets_then_adds(self, replay_result):
         result = replay_result[0]
-        sweep4 = [d for d in result.decisions if 16 <= d.constraint.evidence.tests[1] <= 19]
+        sweep4 = [d for d in result.decisions if 16 <= d.tests[1] <= 19]
         assert len(sweep4) == 2
         bracket, added = sweep4
         assert bracket.outcome == NOT_INDUCED
-        assert frozenset(bracket.constraint.pair()) == frozenset({3, 4})
-        assert bracket.constraint.evidence.gap == pytest.approx(0.02878)
-        assert added.constraint.pair() == (4, 10)
-        assert added.constraint.evidence.gap == pytest.approx(0.11003)
+        assert frozenset(bracket.pair()) == frozenset({3, 4})
+        assert bracket.gap == pytest.approx(0.02878)
+        assert added.pair() == (4, 10)
+        assert added.gap == pytest.approx(0.11003)
 
     def test_element_8_sweep_adds_both_with_tight_gate(self, replay_result):
         result = replay_result[0]
-        sweep8 = [d for d in result.decisions if d.constraint.evidence.tests[1] >= 30]
-        assert [(d.constraint.pair(), d.outcome) for d in sweep8] == [
+        sweep8 = [d for d in result.decisions if d.tests[1] >= 30]
+        assert [(d.pair(), d.outcome) for d in sweep8] == [
             ((4, 8), "added"),
             ((8, 10), "added"),
         ]
-        assert sweep8[0].constraint.evidence.gap == pytest.approx(0.18663)
-        assert sweep8[1].constraint.evidence.gap == pytest.approx(0.06896)
-        assert sweep8[1].constraint.evidence.threshold == pytest.approx(0.057369)
+        assert sweep8[0].gap == pytest.approx(0.18663)
+        assert sweep8[1].gap == pytest.approx(0.06896)
+        assert sweep8[1].threshold == pytest.approx(0.057369)
 
     def test_keystone_twelve_constraints_four_brackets_nothing_else(self, replay_result):
         result = replay_result[0]
         induced = [d for d in result.decisions if d.induced]
-        assert [d.constraint.pair() for d in induced] == list(TABLE_CONSTRAINTS)
+        assert [d.pair() for d in induced] == list(TABLE_CONSTRAINTS)
         assert result.graph.edge_pairs() == set(TABLE_CONSTRAINTS)
         brackets = [d for d in result.decisions if d.outcome == NOT_INDUCED]
-        assert {frozenset(d.constraint.pair()) for d in brackets} == set(TABLE_BRACKETS)
+        assert {frozenset(d.pair()) for d in brackets} == set(TABLE_BRACKETS)
         assert len(result.decisions) == 16  # nothing beyond the 12 + 4
 
     def test_evidence_test_pairs_match_the_tables(self, replay_result):
         result = replay_result[0]
         for d in result.decisions:
             if d.induced:
-                assert d.constraint.evidence.tests == EXPECTED_EVIDENCE[d.constraint.pair()]
+                assert d.tests == EXPECTED_EVIDENCE[d.pair()]
             else:
-                key = frozenset(d.constraint.pair())
-                assert d.constraint.evidence.tests == EXPECTED_BRACKET_EVIDENCE[key]
+                key = frozenset(d.pair())
+                assert d.tests == EXPECTED_BRACKET_EVIDENCE[key]
 
     def test_phase1_best_is_the_test_34_assignment(self, replay_result):
         result = replay_result[0]
@@ -241,14 +240,13 @@ class TestInduction:
         for sweep, expected_element in zip(result.sweeps, (11, 2, 3, 10, 9, 6, 4, 5, 7, 8)):
             assert sweep.element == expected_element
         for d in result.decisions:
-            lo, hi = d.ranks
-            # reconstruct which sweep produced it via evidence ids
+            # the sweep that produced it holds both tests at neighbouring ranks
             assert any(
-                sweep.probes.get(lo) is not None
-                and sweep.probes.get(hi) is not None
-                and sweep.probes[lo].test_id == d.constraint.evidence.tests[0]
-                and sweep.element in d.constraint.pair()
+                (sweep.probes[lo].test_id, sweep.probes[lo + 1].test_id) == d.tests
+                and sweep.element in d.pair()
                 for sweep in result.sweeps
+                for lo in sweep.probes
+                if lo + 1 in sweep.probes
             )
 
 
@@ -262,15 +260,15 @@ def all_pairs_result(fixtures_dir):
 class TestAllPairsScope:
     def test_contradicting_pair_is_cycle_rejected(self, all_pairs_result):
         outcomes = {
-            d.constraint.pair(): d.outcome
+            d.pair(): d.outcome
             for d in all_pairs_result.decisions
-            if d.constraint.pair() == (9, 2)
+            if d.pair() == (9, 2)
         }
         assert outcomes == {(9, 2): AddOutcome.CYCLE_REJECTED.value}
 
     def test_implied_pair_is_redundant(self, all_pairs_result):
         outcomes = [
-            d.outcome for d in all_pairs_result.decisions if d.constraint.pair() == (3, 9)
+            d.outcome for d in all_pairs_result.decisions if d.pair() == (3, 9)
         ]
         assert outcomes == [AddOutcome.REDUNDANT.value]
 
@@ -279,7 +277,7 @@ class TestAllPairsScope:
         assert all_pairs_result.evaluations_used == 36
 
     def test_scope_over_induces_relative_to_flanking(self, all_pairs_result):
-        added = {d.constraint.pair() for d in all_pairs_result.decisions if d.induced}
+        added = {d.pair() for d in all_pairs_result.decisions if d.induced}
         assert {(6, 2), (2, 4), (3, 8)} <= added  # not part of the printed set
 
 

@@ -279,6 +279,23 @@ class TestRunExperiment:
         assert summary.phase2_games == sum(r.n_games for r in fresh2)
         assert summary.phase2_tests == len(fresh2)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reevaluation_on_a_cache_hit_is_marked_cached(self, seed):
+        # With equal budgets the phase-2 re-evaluation of the phase-1 winner
+        # is a cache hit: it costs no games and counts as no test.
+        cfg = RunConfig.from_dict({
+            "initial": "8 7 6 5 4 3 2 1",
+            "seed": seed,
+            "oracle": {"kind": "synthetic", "target": "3 1 4 5 8 2 6 7", "sigma": 1.9},
+            "phase1": {"games": 1000, "baseline_games": 1000},
+            "phase2": {"games": 1000, "steps": 5},
+        })
+        summary = run_experiment(cfg)
+        fresh2 = [r for r in summary.trace if r.phase == 2 and not r.cached]
+        assert [r.cached for r in summary.trace if r.reeval] == [True]
+        assert summary.phase2_tests == len(fresh2)
+        assert summary.phase2_games == sum(r.n_games for r in fresh2)
+
     def test_persistence_writes_the_full_set(self, tmp_path):
         cfg = synthetic_config()
         summary = run_experiment(cfg, out_dir=tmp_path / "out")
@@ -334,11 +351,29 @@ class TestRunExperiment:
         ]
 
 
+def edge_records(graph):
+    return [(c.pair(), c.tests, c.gap, c.threshold) for c in graph.edges()]
+
+
 class TestExportDag:
     def test_graph_rebuilt_from_trace(self, tmp_path):
         summary = run_experiment(paper_replay_config())
         rebuilt = graph_from_trace(summary.trace)
-        assert rebuilt.edge_pairs() == summary.phase1.graph.edge_pairs()
+        assert len(rebuilt.edges()) == 12
+        assert edge_records(rebuilt) == edge_records(summary.phase1.graph)
+        # A synthetic run in each scope, read back from its trace.jsonl.
+        for scope in ("flanking", "all-pairs"):
+            cfg = RunConfig.from_dict({
+                "initial": "9 8 7 6 5 4 3 2 1",
+                "seed": 2,
+                "oracle": {"kind": "synthetic", "target": "3 1 4 9 5 2 6 8 7", "sigma": 1.0},
+                "phase1": {"games": 300, "induction_scope": scope},
+                "phase2": {"steps": 2},
+            })
+            summary = run_experiment(cfg, tmp_path / scope)
+            rebuilt = graph_from_trace(read_trace(tmp_path / scope / "trace.jsonl"))
+            assert len(rebuilt.edges()) > 3
+            assert edge_records(rebuilt) == edge_records(summary.phase1.graph)
 
 
 class TestReplayVerify:

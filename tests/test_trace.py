@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dca.constraints import NOT_INDUCED, AddOutcome, RankConstraint
 from dca.harness import RunConfig, run_experiment
 from dca.perm import format_assignment
 from dca.trace import (
@@ -24,12 +25,12 @@ from dca.trace import (
     MARKER_NONE,
     MARKER_REJECTED_WORSE,
     MARKER_STAR,
-    ConstraintNote,
     RunContext,
     TraceRecord,
     TraceSink,
     csv_row,
     dump_trace,
+    parse_note,
     read_trace,
     trace_line,
     trace_to_csv,
@@ -70,7 +71,7 @@ class TestRunContext:
         run = RunContext()
         for i in range(3):
             run.add(record(i, (1, 2, 3), -1.0 - i))
-        note = ConstraintNote(induced=True, before=1, after=2, tests=(0, 1), gap=1.0, threshold=0.1)
+        note = RankConstraint(1, 2, (0, 1), 1.0, 0.1)
         run.annotate(2, note)
         run.annotate(1, note)
         run.annotate(7, note)
@@ -78,6 +79,15 @@ class TestRunContext:
         assert [len(r.annotations) for r in run.records] == [0, 1, 1]
         run.checkpoint()
         assert run.changed is None
+
+
+class TestNotes:
+    def test_note_kinds_read_as_outcomes(self):
+        doc = {"kind": "induced", "before": 3, "after": 1, "tests": [4, 5], "gap": 0.5, "threshold": 0.25}
+        assert parse_note(doc) == RankConstraint(3, 1, (4, 5), 0.5, 0.25, AddOutcome.ADDED.value)
+        assert parse_note({**doc, "kind": "not-induced"}).outcome == NOT_INDUCED
+        with pytest.raises(ValueError, match="unknown note kind"):
+            parse_note({**doc, "kind": AddOutcome.ADDED.value})
 
 
 def assert_files_match(out, records):
@@ -94,7 +104,7 @@ class TestTraceSink:
         run.checkpoint()
         assert_files_match(tmp_path, run.records)
         run.add(record(3, (1, 3, 2), -0.5))
-        run.annotate(1, ConstraintNote(induced=False, before=3, after=2, tests=(0, 1), gap=0.1, threshold=0.2))
+        run.annotate(1, RankConstraint(3, 2, (0, 1), 0.1, 0.2, NOT_INDUCED))
         run.checkpoint()
         assert_files_match(tmp_path, run.records)
         run.checkpoint()
@@ -255,9 +265,10 @@ def reference_csv_row(record: TraceRecord) -> str:
 
 reals = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]), st.floats())
 ids = st.integers(min_value=1, max_value=10**9)
+outcomes = st.sampled_from([AddOutcome.ADDED.value, NOT_INDUCED])
 notes = st.builds(
-    ConstraintNote,
-    induced=st.booleans(),
+    RankConstraint,
+    outcome=outcomes,
     before=ids,
     after=ids,
     tests=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
@@ -339,7 +350,7 @@ def run_rows(draw, test_id):
             phase=1,
             marker=draw(st.sampled_from([MARKER_NONE, MARKER_STAR])),
             annotations=draw(st.lists(st.builds(
-                ConstraintNote, induced=st.booleans(), before=elements, after=elements,
+                RankConstraint, outcome=outcomes, before=elements, after=elements,
                 tests=st.tuples(st.integers(0, test_id), st.integers(0, test_id)),
                 gap=run_reals, threshold=run_reals,
             ), max_size=3)),
