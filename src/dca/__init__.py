@@ -11,7 +11,6 @@ from .annealer import (
     Phase2Config,
     Phase2Result,
     ScriptedProposer,
-    TemperatureSchedule,
     acceptance_probability,
     run_phase2,
 )
@@ -35,7 +34,6 @@ from .evaluation import (
     FitnessEstimate,
     HiddenTargetLandscape,
     PoolOracle,
-    ReplayFixture,
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,

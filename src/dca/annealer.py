@@ -41,33 +41,6 @@ from .trace import (
 )
 
 
-@dataclass(frozen=True)
-class TemperatureSchedule:
-    """Linear cooling: temperature t0 - k*dt at step k, kept positive throughout."""
-
-    t0: float = 0.10
-    dt: float = 0.01
-    steps: int = 10
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.t0) and self.t0 > 0):
-            raise ConfigError(f"initial temperature must be finite and positive, got {self.t0}")
-        if not (math.isfinite(self.dt) and self.dt >= 0):
-            raise ConfigError(f"temperature decrement must be finite and >= 0, got {self.dt}")
-        if self.steps < 1:
-            raise ConfigError(f"step count must be >= 1, got {self.steps}")
-        final = self.t0 - (self.steps - 1) * self.dt
-        if final <= 0:
-            raise ConfigError(
-                f"schedule reaches non-positive temperature {final:.6g} at its last step"
-            )
-
-    def at(self, k: int) -> float:
-        if not 0 <= k < self.steps:
-            raise InvalidTemperatureError(f"step index {k} outside 0..{self.steps - 1}")
-        return self.t0 - k * self.dt
-
-
 def acceptance_probability(f_current: float, f_candidate: float, temperature: float) -> float:
     """Metropolis acceptance for a maximised mean: 1 when not worse, else exp(-delta/T)."""
     if temperature <= 0:
@@ -167,14 +140,41 @@ class ScriptedProposer(Proposer):
 
 @dataclass
 class Phase2Config:
+    """The annealing phase: its game budget, its linear cooling and its candidate source.
+
+    The temperature at step k is t0 - k*dt, kept positive throughout. With
+    `script_moves` the candidates are that file's assignments in order;
+    otherwise an InsertionProposer draws pools of `pool_size`.
+    """
+
     n_games_hi: int = 16000
+    t0: float = 0.10
+    dt: float = 0.01
+    steps: int = 10
     pool_size: int = 8
+    script_moves: Optional[Path] = None
 
     def validate(self) -> None:
         if self.n_games_hi < 1:
             raise ConfigError("high-precision game budget must be >= 1")
         if self.pool_size < 1:
             raise ConfigError("pool size must be >= 1")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ConfigError(f"initial temperature must be finite and positive, got {self.t0}")
+        if not (math.isfinite(self.dt) and self.dt >= 0):
+            raise ConfigError(f"temperature decrement must be finite and >= 0, got {self.dt}")
+        if self.steps < 1:
+            raise ConfigError(f"step count must be >= 1, got {self.steps}")
+        final = self.t0 - (self.steps - 1) * self.dt
+        if final <= 0:
+            raise ConfigError(
+                f"schedule reaches non-positive temperature {final:.6g} at its last step"
+            )
+
+    def temperature(self, k: int) -> float:
+        if not 0 <= k < self.steps:
+            raise InvalidTemperatureError(f"step index {k} outside 0..{self.steps - 1}")
+        return self.t0 - k * self.dt
 
 
 @dataclass
@@ -194,7 +194,6 @@ def run_phase2(
     start: Assignment,
     evaluator: CachingEvaluator,
     graph: ConstraintGraph,
-    schedule: TemperatureSchedule,
     config: Phase2Config,
     proposer: Proposer,
     acceptance_rng: np.random.Generator,
@@ -208,7 +207,6 @@ def run_phase2(
     replace the current state but never the best.
     """
     config.validate()
-    schedule.validate()
     run = run if run is not None else RunContext()
     first_row = len(run.records)
 
@@ -216,7 +214,7 @@ def run_phase2(
     # When the start was already traced (a continued run), the re-test keeps
     # its original test id, matching the printed tables.
     current_est, fresh = evaluator.estimate(start, config.n_games_hi)
-    prior_id = run.id_of(start)
+    prior_id = run.ids.get(start)
     reeval_id = prior_id if prior_id is not None else run.fresh_id()
     run.add(
         TraceRecord(
@@ -237,8 +235,8 @@ def run_phase2(
     best, best_est = current, current_est
     accepted_worse = rejected_worse = improved = 0
 
-    for k in range(schedule.steps):
-        temperature = schedule.at(k)
+    for k in range(config.steps):
+        temperature = config.temperature(k)
         _, candidate = proposer.propose(current, graph)
         cand_est, fresh = evaluator.estimate(candidate, config.n_games_hi)
         delta = current_est.mean - cand_est.mean

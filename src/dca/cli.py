@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .annealer import TemperatureSchedule, run_phase2
+from .annealer import run_phase2
 from .climber import run_phase1
 from .config import read_json_file, read_text
 from .constraints import from_edge_list_text, to_dot, to_edge_list_text
@@ -27,6 +27,9 @@ from .trace import read_trace
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, type=Path)
+    p.add_argument("--seed", type=int, help="override the config's master seed")
+    p.add_argument("--out", type=Path, help="directory for trace and summary files")
     p.add_argument("--games", type=int, help="phase-1 games per test")
     p.add_argument("--games-hi", type=int, help="phase-2 games per test")
     p.add_argument("--tau", type=float, help="noise-gate multiplier")
@@ -38,26 +41,25 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--script-moves", type=Path, help="file of scripted candidate assignments")
 
 
+# Each override flag's argparse name, and the config section and field it sets.
+_OVERRIDES = (
+    ("games", "phase1", "n_games"),
+    ("tau", "phase1", "tau"),
+    ("induction_scope", "phase1", "induction_scope"),
+    ("games_hi", "phase2", "n_games_hi"),
+    ("t0", "phase2", "t0"),
+    ("dt", "phase2", "dt"),
+    ("steps", "phase2", "steps"),
+    ("pool_size", "phase2", "pool_size"),
+    ("script_moves", "phase2", "script_moves"),
+)
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.games is not None:
-        cfg.phase1.n_games = args.games
-    if args.tau is not None:
-        cfg.phase1.tau = args.tau
-    if args.induction_scope is not None:
-        cfg.phase1.induction_scope = args.induction_scope
-    if args.games_hi is not None:
-        cfg.phase2.n_games_hi = args.games_hi
-    if args.pool_size is not None:
-        cfg.phase2.pool_size = args.pool_size
-    schedule = cfg.schedule
-    cfg.schedule = TemperatureSchedule(
-        t0=args.t0 if args.t0 is not None else schedule.t0,
-        dt=args.dt if args.dt is not None else schedule.dt,
-        steps=args.steps if args.steps is not None else schedule.steps,
-    )
-    if args.script_moves is not None:
-        cfg.script_moves = args.script_moves
-    if getattr(args, "seed", None) is not None:
+    for flag, section, name in _OVERRIDES:
+        if getattr(args, flag) is not None:
+            setattr(getattr(cfg, section), name, getattr(args, flag))
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -97,7 +99,6 @@ def cmd_phase2(args: argparse.Namespace) -> int:
             start,
             parts.evaluator2,
             graph,
-            cfg.schedule,
             cfg.phase2,
             proposer=parts.proposer,
             acceptance_rng=parts.acceptance_rng,
@@ -134,25 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="full two-phase run from a config file")
-    p_opt.add_argument("--config", required=True, type=Path)
-    p_opt.add_argument("--seed", type=int, help="override the config's master seed")
-    p_opt.add_argument("--out", type=Path, help="directory for trace and summary files")
     _add_shared_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p1 = sub.add_parser("phase1", help="run the climbing phase only")
-    p1.add_argument("--config", required=True, type=Path)
-    p1.add_argument("--seed", type=int)
-    p1.add_argument("--out", type=Path)
     _add_shared_flags(p1)
     p1.set_defaults(func=cmd_phase1)
 
     p2 = sub.add_parser("phase2", help="run the annealing phase from a start and edge list")
-    p2.add_argument("--config", required=True, type=Path)
     p2.add_argument("--graph", required=True, type=Path, help="constraint edge-list file")
     p2.add_argument("--start", required=True, help="starting assignment, space-separated")
-    p2.add_argument("--seed", type=int)
-    p2.add_argument("--out", type=Path)
     _add_shared_flags(p2)
     p2.set_defaults(func=cmd_phase2)
 

@@ -138,8 +138,7 @@ def run_sweep(
                 )
             )
         else:
-            known = run.id_of(x)
-            test_id = known if known is not None else -1
+            test_id = run.ids.get(x, -1)
         probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
 
         if rank >= 2 and probes[rank].estimate.mean < probes[rank - 1].estimate.mean:
@@ -224,6 +223,10 @@ def run_phase1(
     """
     config = config or Phase1Config()
     config.validate()
+    order = list(config.element_order) if config.element_order is not None else list(x0)
+    if sorted(order) != sorted(set(order)) or set(order) - set(x0):
+        raise ConfigError(f"element order {order} is not a subset of the assignment without repeats")
+
     graph = ConstraintGraph()
     run = run if run is not None else RunContext()
     evaluations_before = evaluator.fresh_evaluations
@@ -240,10 +243,6 @@ def run_phase1(
                 n_games=baseline_estimate.n_games,
             )
         )
-
-    order = list(config.element_order) if config.element_order is not None else list(x0)
-    if sorted(order) != sorted(set(order)) or set(order) - set(x0):
-        raise ConfigError(f"element order {order} is not a subset of the assignment without repeats")
 
     best, best_estimate = x0, baseline_estimate
     sweeps: list[SweepState] = []

@@ -15,7 +15,7 @@ import math
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -304,15 +304,16 @@ class PoolOracle(Oracle):
             oracle.close()
 
 
-@dataclass
-class ReplayFixture:
-    """Pinned assignment -> (mean, se, n) table loaded from a replay file."""
+class ReplayOracle(Oracle):
+    """Pinned assignment -> (mean, se, n) table, returned verbatim; unknown assignments fail hard."""
 
-    records: dict[str, FitnessEstimate] = field(default_factory=dict)
-    path: Optional[Path] = None
+    def __init__(self, records: dict[str, FitnessEstimate], path: Optional[Path] = None):
+        self.records = records
+        self.path = path
 
     @classmethod
-    def load(cls, path: str | Path) -> "ReplayFixture":
+    def load(cls, path: str | Path) -> "ReplayOracle":
+        """The oracle of the replay file at `path`."""
         path = Path(path)
         lines = read_text(path, "replay fixture").splitlines()
         if not lines or lines[0].strip() != REPLAY_HEADER:
@@ -336,26 +337,13 @@ class ReplayFixture:
             records[key] = est
         if not records:
             raise ConfigError(f"{path}: replay fixture holds no records")
-        return cls(records=records, path=path)
-
-    def save(self, path: str | Path) -> None:
-        lines = [REPLAY_HEADER]
-        for key, est in self.records.items():
-            lines.append(f"{key} | {format_mean(est.mean)} | {format_se(est.se)} | {est.n_games}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-class ReplayOracle(Oracle):
-    """Return fixture estimates verbatim; unknown assignments fail hard."""
-
-    def __init__(self, fixture: ReplayFixture):
-        self.fixture = fixture
+        return cls(records, path)
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
         key = format_assignment(x)
-        est = self.fixture.records.get(key)
+        est = self.records.get(key)
         if est is None:
-            raise ReplayMissError(f"assignment {key!r} absent from replay fixture {self.fixture.path}")
+            raise ReplayMissError(f"assignment {key!r} absent from replay fixture {self.path}")
         return est
 
 
@@ -469,8 +457,11 @@ def decode_response(line: str) -> FitnessEstimate:
     if missing:
         raise OracleIOError(f"evaluator response missing fields {sorted(missing)}", payload=line)
     try:
-        est = FitnessEstimate(mean=float(doc["mean"]), se=float(doc["se"]), n_games=int(doc["n"]))
-    except (TypeError, ValueError, OverflowError) as err:
+        # The config number rule: a bool is not a number, and n is never truncated.
+        est = FitnessEstimate(
+            mean=real(doc["mean"], "mean"), se=real(doc["se"], "se"), n_games=integer(doc["n"], "n")
+        )
+    except ConfigError as err:
         raise OracleIOError(f"evaluator response fields unusable: {err}", payload=line) from err
     problem = untrustworthy(est)
     if problem:

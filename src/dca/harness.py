@@ -27,7 +27,6 @@ from .annealer import (
     Phase2Result,
     Proposer,
     ScriptedProposer,
-    TemperatureSchedule,
     load_scripted_moves,
     run_phase2,
 )
@@ -41,7 +40,6 @@ from .evaluation import (
     HiddenTargetLandscape,
     Oracle,
     PoolOracle,
-    ReplayFixture,
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
@@ -103,7 +101,7 @@ def build_oracle(spec: dict, seed: int) -> Oracle:
         return SyntheticOracle(HiddenTargetLandscape.from_config(spec), seed=seed)
     if kind == "replay":
         check_keys(spec, {"kind", "path"}, "replay oracle spec")
-        return ReplayOracle(ReplayFixture.load(required(spec, "path", "replay oracle spec")))
+        return ReplayOracle.load(required(spec, "path", "replay oracle spec"))
     if kind == "pool":
         check_keys(spec, {"kind", "members"}, "pool oracle spec")
         members = spec.get("members", [])
@@ -141,8 +139,7 @@ def _path(value, what: str) -> Optional[Path]:
     return Path(value) if value else None
 
 
-# Each run-config section's keys: config key -> (dataclass field, reader). The
-# "phase2" section holds the schedule's keys, Phase2Config's and script_moves.
+# Each run-config section's keys: config key -> (dataclass field, reader).
 _PHASE1_KEYS = {
     "games": ("n_games", integer),
     "baseline_games": ("n_games_baseline", integer),
@@ -150,9 +147,14 @@ _PHASE1_KEYS = {
     "element_order": ("element_order", _element_ids),
     "induction_scope": ("induction_scope", _as_is),
 }
-_SCHEDULE_KEYS = {"t0": ("t0", real), "dt": ("dt", real), "steps": ("steps", integer)}
-_PHASE2_KEYS = {"games": ("n_games_hi", integer), "pool_size": ("pool_size", integer)}
-_SCRIPT_KEYS = {"script_moves": ("script_moves", _path)}
+_PHASE2_KEYS = {
+    "games": ("n_games_hi", integer),
+    "t0": ("t0", real),
+    "dt": ("dt", real),
+    "steps": ("steps", integer),
+    "pool_size": ("pool_size", integer),
+    "script_moves": ("script_moves", _path),
+}
 
 
 @dataclass
@@ -162,16 +164,13 @@ class RunConfig:
     oracle: dict
     oracle_phase2: Optional[dict] = None
     phase1: Phase1Config = field(default_factory=Phase1Config)
-    schedule: TemperatureSchedule = field(default_factory=TemperatureSchedule)
     phase2: Phase2Config = field(default_factory=Phase2Config)
-    script_moves: Optional[Path] = None
 
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("a master seed is mandatory")
         self.phase1.validate()
         self.phase2.validate()
-        self.schedule.validate()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -179,16 +178,14 @@ class RunConfig:
         check_keys(doc, {"initial", "seed", "oracle", "oracle_phase2", "phase1", "phase2"}, "run config")
         p1, p2 = doc.get("phase1", {}), doc.get("phase2", {})
         check_keys(p1, _PHASE1_KEYS, "phase1 section")
-        check_keys(p2, {*_SCHEDULE_KEYS, *_PHASE2_KEYS, *_SCRIPT_KEYS}, "phase2 section")
+        check_keys(p2, _PHASE2_KEYS, "phase2 section")
         return cls(
             initial=as_assignment(required(doc, "initial", "run config")),
             seed=integer(required(doc, "seed", "run config"), "seed"),
             oracle=required(doc, "oracle", "run config"),
             oracle_phase2=doc.get("oracle_phase2"),
             phase1=Phase1Config(**read(p1, _PHASE1_KEYS, "phase1 ")),
-            schedule=TemperatureSchedule(**read(p2, _SCHEDULE_KEYS, "phase2 ")),
             phase2=Phase2Config(**read(p2, _PHASE2_KEYS, "phase2 ")),
-            **read(p2, _SCRIPT_KEYS, "phase2 "),
         )
 
     @classmethod
@@ -266,8 +263,8 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
         if cfg.oracle_phase2 is not None:
             oracle2 = build_oracle(cfg.oracle_phase2, derive_seed(cfg.seed, "oracle"))
         proposer: Proposer
-        if cfg.script_moves:
-            proposer = ScriptedProposer(load_scripted_moves(cfg.script_moves))
+        if cfg.phase2.script_moves:
+            proposer = ScriptedProposer(load_scripted_moves(cfg.phase2.script_moves))
         else:
             proposer = InsertionProposer(
                 np.random.default_rng(derive_seed(cfg.seed, "proposer")), cfg.phase2.pool_size
@@ -305,7 +302,6 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
             p1.best,
             parts.evaluator2,
             p1.graph,
-            cfg.schedule,
             cfg.phase2,
             proposer=parts.proposer,
             acceptance_rng=parts.acceptance_rng,
@@ -406,7 +402,7 @@ def paper_replay_config(fixtures_dir: Optional[str | Path] = None) -> RunConfig:
         seed=REPLAY_MASTER_SEED,
         oracle={"kind": "replay", "path": str(table12)},
         oracle_phase2={"kind": "replay", "path": str(table3)},
-        script_moves=moves,
+        phase2=Phase2Config(script_moves=moves),
     )
 
 
@@ -528,8 +524,8 @@ def replay_verify(fixtures_dir: Optional[str | Path] = None) -> ReplayReport:
         )
 
     # Every trace row must carry the packaged transcription bit-exactly.
-    packaged_p1 = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2).records
-    packaged_p2 = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE3).records
+    packaged_p1 = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2).records
+    packaged_p2 = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE3).records
     for record in summary.trace:
         key = format_assignment(record.assignment)
         expected = (packaged_p1 if record.phase == 1 else packaged_p2).get(key)

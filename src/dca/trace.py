@@ -36,15 +36,31 @@ MARKERS = frozenset({MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJ
 DECISIONS = frozenset({None, DECISION_IMPROVED, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE})
 # A note's "kind" word for each outcome a trace row is annotated with.
 NOTE_KINDS = {"induced": AddOutcome.ADDED.value, "not-induced": NOT_INDUCED}
+# The JSON types a row's fields may hold; a bool is not an int here.
+_INT = (int,)
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+
+
+def _typed(value, types: tuple):
+    """`value` if its type is one of `types`; else a ValueError, so read_trace names the line."""
+    if type(value) not in types:
+        raise ValueError(f"{value!r} is not one of {[t.__name__ for t in types]}")
+    return value
 
 
 def parse_note(doc: dict) -> RankConstraint:
     """The comparison of a trace row's note; "induced" reads as outcome "added"."""
     if doc["kind"] not in NOTE_KINDS:
         raise ValueError(f"unknown note kind {doc['kind']!r}")
-    first, second = doc["tests"]
+    first, second = (_typed(t, _INT) for t in doc["tests"])
     return RankConstraint(
-        doc["before"], doc["after"], (first, second), doc["gap"], doc["threshold"], NOTE_KINDS[doc["kind"]]
+        _typed(doc["before"], _INT),
+        _typed(doc["after"], _INT),
+        (first, second),
+        _typed(doc["gap"], _NUMBER),
+        _typed(doc["threshold"], _NUMBER),
+        NOTE_KINDS[doc["kind"]],
     )
 
 
@@ -71,17 +87,17 @@ class TraceRecord:
         if marker not in MARKERS or decision not in DECISIONS:
             raise ValueError(f"unknown marker {marker!r} or decision {decision!r}")
         return cls(
-            test_id=doc["test_id"],
-            phase=doc["phase"],
+            test_id=_typed(doc["test_id"], _INT),
+            phase=_typed(doc["phase"], _INT),
             assignment=parse_assignment(doc["assignment"]),
-            mean=doc["mean"],
-            se=doc["se"],
-            n_games=doc["n_games"],
+            mean=_typed(doc["mean"], _NUMBER),
+            se=_typed(doc["se"], _NUMBER),
+            n_games=_typed(doc["n_games"], _INT),
             marker=marker,
             annotations=[parse_note(n) for n in doc.get("annotations", [])],
-            temperature=doc.get("temperature"),
-            delta=doc.get("delta"),
-            probability=doc.get("probability"),
+            temperature=_typed(doc.get("temperature"), _NUMBER_OR_NULL),
+            delta=_typed(doc.get("delta"), _NUMBER_OR_NULL),
+            probability=_typed(doc.get("probability"), _NUMBER_OR_NULL),
             decision=decision,
             cached=doc.get("cached", False),
             reeval=doc.get("reeval", False),
@@ -298,9 +314,6 @@ class RunContext:
         i = self.next_id
         self.next_id += 1
         return i
-
-    def id_of(self, x: Assignment) -> Optional[int]:
-        return self.ids.get(x)
 
     def record_by_id(self, test_id: int) -> Optional[TraceRecord]:
         row = self.by_id.get(test_id)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from dca.constraints import ConstraintGraph, RankConstraint
+from dca.evaluation import REPLAY_HEADER, format_mean, format_se
 from dca.harness import TABLE_CONSTRAINTS, packaged_fixtures_dir
 from dca.perm import parse_assignment
 
@@ -22,3 +25,14 @@ def g12() -> ConstraintGraph:
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return packaged_fixtures_dir()
+
+
+@pytest.fixture(scope="session")
+def write_replay():
+    """A writer of replay files: records (serialized assignment -> FitnessEstimate) to a path."""
+
+    def write(records, path):
+        lines = [f"{key} | {format_mean(e.mean)} | {format_se(e.se)} | {e.n_games}" for key, e in records.items()]
+        Path(path).write_text("\n".join([REPLAY_HEADER, *lines]) + "\n")
+
+    return write

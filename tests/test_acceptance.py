@@ -15,13 +15,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dca.annealer import TemperatureSchedule, acceptance_probability
+from dca.annealer import Phase2Config, acceptance_probability
 from dca.climber import Phase1Config, run_phase1
 from dca.constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from dca.evaluation import (
     CachingEvaluator,
     HiddenTargetLandscape,
-    ReplayFixture,
     ReplayOracle,
     aggregate,
     format_mean,
@@ -70,7 +69,7 @@ def unit_landscape(target, sigma=0.0):
 def test_criterion_1_constraint_set_replay():
     with criterion(1, "constraint-set replay induces the 12 constraints and 4 brackets"):
         started = time.perf_counter()
-        oracle = ReplayOracle(ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2))
+        oracle = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
         result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config())
 
         induced = [d.pair() for d in result.decisions if d.induced]
@@ -86,7 +85,7 @@ def test_criterion_1_constraint_set_replay():
 
 def test_criterion_2_sweep_boundary_replay():
     with criterion(2, "sweep boundaries and the 36-test evaluation sequence"):
-        oracle = ReplayOracle(ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2))
+        oracle = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
         run = RunContext()
         result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config(), run=run)
         by_element = {sweep.element: sweep for sweep in result.sweeps}
@@ -160,7 +159,7 @@ def test_criterion_5_brute_force_equivalence_on_exact_landscapes():
                         "target": format_assignment(target),
                         "weights": 1.0,
                     },
-                    schedule=TemperatureSchedule(t0=0.10, dt=0.001, steps=40),
+                    phase2=Phase2Config(t0=0.10, dt=0.001, steps=40),
                 )
                 summary = run_experiment(cfg)
                 assert summary.best_mean >= summary.phase1.best_estimate.mean
@@ -178,7 +177,7 @@ def test_criterion_6_noisy_recovery_at_full_size():
         improvements = []
         steps = 300
         t0 = 0.4
-        schedule = TemperatureSchedule(t0=t0, dt=(t0 - 0.004) / (steps - 1), steps=steps)
+        phase2 = Phase2Config(t0=t0, dt=(t0 - 0.004) / (steps - 1), steps=steps)
         for seed in range(1234, 1254):
             rng = np.random.default_rng(seed)
             target = tuple(int(v) for v in rng.permutation(np.arange(1, n + 1)))
@@ -196,7 +195,7 @@ def test_criterion_6_noisy_recovery_at_full_size():
                 # Ranking ties are pure noise at this landscape's unit
                 # weights, so the gate runs hot to keep them out of the graph.
                 phase1=Phase1Config(tau=4.0),
-                schedule=schedule,
+                phase2=phase2,
             )
             summary = run_experiment(cfg)
             true_final = landscape.true_fitness(summary.best)

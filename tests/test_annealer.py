@@ -13,7 +13,6 @@ from dca.annealer import (
     InsertionProposer,
     Phase2Config,
     ScriptedProposer,
-    TemperatureSchedule,
     acceptance_probability,
     load_scripted_moves,
     run_phase2,
@@ -26,7 +25,6 @@ from dca.evaluation import (
     FitnessEstimate,
     HiddenTargetLandscape,
     Oracle,
-    ReplayFixture,
     ReplayOracle,
     format_mean,
 )
@@ -165,27 +163,27 @@ class TestAcceptanceProbability:
 
 class TestTemperatureSchedule:
     def test_default_endpoints(self):
-        schedule = TemperatureSchedule()
-        assert schedule.at(0) == pytest.approx(0.10)
-        assert schedule.at(9) == pytest.approx(0.01)
+        config = Phase2Config()
+        assert config.temperature(0) == pytest.approx(0.10)
+        assert config.temperature(9) == pytest.approx(0.01)
 
     def test_constant_schedule(self):
-        schedule = TemperatureSchedule(t0=0.3, dt=0.0, steps=5)
-        assert [schedule.at(k) for k in range(5)] == [0.3] * 5
+        config = Phase2Config(t0=0.3, dt=0.0, steps=5)
+        assert [config.temperature(k) for k in range(5)] == [0.3] * 5
 
     def test_index_out_of_range(self):
-        schedule = TemperatureSchedule()
+        config = Phase2Config()
         with pytest.raises(InvalidTemperatureError):
-            schedule.at(10)
+            config.temperature(10)
         with pytest.raises(InvalidTemperatureError):
-            schedule.at(-1)
+            config.temperature(-1)
 
     def test_schedule_reaching_zero_rejected_before_any_evaluation(self):
         with pytest.raises(ConfigError):
-            TemperatureSchedule(t0=0.10, dt=0.02, steps=10).validate()
+            Phase2Config(t0=0.10, dt=0.02, steps=10).validate()
 
     def test_paper_defaults_are_valid(self):
-        TemperatureSchedule().validate()
+        Phase2Config().validate()
 
 
 class TestInsertionProposer:
@@ -361,7 +359,7 @@ class TestScriptedProposer:
 
 @pytest.fixture()
 def table3_run(fixtures_dir, g12):
-    oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE3))
+    oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE3)
     proposer = ScriptedProposer(load_scripted_moves(fixtures_dir / FIXTURE_MOVES))
     run = RunContext()
     run.next_id = 36  # continue numbering after the climbing phase
@@ -370,7 +368,6 @@ def table3_run(fixtures_dir, g12):
         X34,
         CachingEvaluator(oracle),
         g12,
-        TemperatureSchedule(),
         Phase2Config(),
         proposer=proposer,
         acceptance_rng=np.random.default_rng(derive_seed(REPLAY_MASTER_SEED, "acceptance")),
@@ -469,8 +466,7 @@ class TestAnnealingProperties:
                 start,
                 CachingEvaluator(ExactOracle(landscape)),
                 g,
-                TemperatureSchedule(t0=0.6, dt=0.002, steps=250),
-                Phase2Config(n_games_hi=1, pool_size=8),
+                Phase2Config(n_games_hi=1, pool_size=8, t0=0.6, dt=0.002, steps=250),
                 proposer=InsertionProposer(np.random.default_rng(seed * 2 + 1), 8),
                 acceptance_rng=np.random.default_rng(seed * 2),
             )
@@ -486,8 +482,7 @@ class TestAnnealingProperties:
             (6, 5, 4, 3, 2, 1),
             CachingEvaluator(ExactOracle(tiny)),
             ConstraintGraph(),
-            TemperatureSchedule(t0=100.0, dt=0.0, steps=200),
-            Phase2Config(n_games_hi=1, pool_size=4),
+            Phase2Config(n_games_hi=1, pool_size=4, t0=100.0, dt=0.0, steps=200),
             proposer=InsertionProposer(np.random.default_rng(8), 4),
             acceptance_rng=np.random.default_rng(9),
         )
@@ -504,8 +499,7 @@ class TestAnnealingProperties:
             (1, 2, 3, 4, 5),
             CachingEvaluator(SyntheticOracle(landscape, seed=2)),
             ConstraintGraph(),
-            TemperatureSchedule(t0=0.5, dt=0.01, steps=40),
-            Phase2Config(n_games_hi=64, pool_size=4),
+            Phase2Config(n_games_hi=64, pool_size=4, t0=0.5, dt=0.01, steps=40),
             proposer=InsertionProposer(np.random.default_rng(3), 4),
             acceptance_rng=np.random.default_rng(4),
             run=run,
@@ -527,8 +521,7 @@ class TestAnnealingProperties:
                 (1, 2, 3, 4),
                 CachingEvaluator(SyntheticOracle(landscape, seed=6)),
                 ConstraintGraph(),
-                TemperatureSchedule(t0=0.2, dt=0.002, steps=30),
-                Phase2Config(n_games_hi=32, pool_size=4),
+                Phase2Config(n_games_hi=32, pool_size=4, t0=0.2, dt=0.002, steps=30),
                 proposer=InsertionProposer(np.random.default_rng(7), 4),
                 acceptance_rng=np.random.default_rng(8),
                 run=run,
@@ -555,8 +548,7 @@ class TestAnnealingProperties:
                 (1, 2, 3, 4, 5),
                 CachingEvaluator(Shifted(SyntheticOracle(landscape, seed=10), offset)),
                 ConstraintGraph(),
-                TemperatureSchedule(t0=0.3, dt=0.005, steps=30),
-                Phase2Config(n_games_hi=64, pool_size=4),
+                Phase2Config(n_games_hi=64, pool_size=4, t0=0.3, dt=0.005, steps=30),
                 proposer=InsertionProposer(np.random.default_rng(11), 4),
                 acceptance_rng=np.random.default_rng(12),
                 run=run,

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
-from dca.cli import main
-from dca.evaluation import FitnessEstimate, Oracle, ReplayFixture, format_mean, format_se
-from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, packaged_fixtures_dir
+from dca.cli import build_parser, main
+from dca.evaluation import FitnessEstimate, Oracle, ReplayOracle, format_mean, format_se
+from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, RunConfig, packaged_fixtures_dir
 from dca.trace import dump_trace, read_trace, trace_to_csv
 
 
@@ -35,12 +38,45 @@ def test_optimize_runs_and_persists(synthetic_config_file, tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
-def test_optimize_flag_overrides(synthetic_config_file, capsys):
-    assert main(
-        ["optimize", "--config", str(synthetic_config_file), "--steps", "3", "--t0", "0.3",
-         "--dt", "0.05", "--seed", "4"]
-    ) == 0
-    assert "phase1 best:" in capsys.readouterr().out
+def run_outputs(doc, tmp_path, name, flags=()):
+    """trace.jsonl bytes and summary.json less wall_time_s of `dca optimize` on `doc` with `flags`."""
+    config, out = tmp_path / f"{name}.json", tmp_path / name
+    config.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(config), "--out", str(out), *flags]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_time_s"]
+    return (out / "trace.jsonl").read_bytes(), summary
+
+
+# Each override flag, a value for it, and the config section and key it stands for.
+OVERRIDES = [
+    ("--games", 300, "phase1", "games"),
+    ("--games-hi", 500, "phase2", "games"),
+    ("--tau", 0.5, "phase1", "tau"),
+    ("--t0", 0.4, "phase2", "t0"),
+    ("--dt", 0.03, "phase2", "dt"),
+    ("--steps", 8, "phase2", "steps"),
+    ("--pool-size", 2, "phase2", "pool_size"),
+    ("--induction-scope", "all-pairs", "phase1", "induction_scope"),
+    ("--seed", 4, None, "seed"),
+]
+
+
+@pytest.mark.parametrize("flag, value, section, key", OVERRIDES, ids=[case[0][2:] for case in OVERRIDES])
+def test_optimize_flag_overrides(flag, value, section, key, tmp_path, capsys):
+    # Each flag must act exactly as its config key does, and change the run.
+    doc = {
+        "initial": "6 5 4 3 2 1",
+        "seed": 9,
+        "oracle": {"kind": "synthetic", "target": "2 4 6 1 3 5", "weights": 1.0, "sigma": 0.8},
+        "phase1": {"games": 200},
+        "phase2": {"games": 800, "t0": 0.3, "dt": 0.02, "steps": 5, "pool_size": 6},
+    }
+    base = run_outputs(doc, tmp_path, "base")
+    flagged = run_outputs(doc, tmp_path, "flag", [flag, str(value)])
+    (doc[section] if section else doc)[key] = value
+    assert flagged == run_outputs(doc, tmp_path, "key")
+    assert flagged != base
 
 
 def test_phase1_reports_decisions(synthetic_config_file, tmp_path, capsys):
@@ -86,10 +122,10 @@ def test_phase_commands_stream_both_trace_files(command, synthetic_config_file, 
     assert records and {r.phase for r in records} == {int(command[-1])}
 
 
-def test_interrupted_phase1_leaves_a_trace_prefix(tmp_path, capsys):
-    fixture = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
+def test_interrupted_phase1_leaves_a_trace_prefix(tmp_path, capsys, write_replay):
+    fixture = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
     short = tmp_path / "short.replay"
-    ReplayFixture(records=dict(list(fixture.records.items())[:8])).save(short)
+    write_replay(dict(list(fixture.records.items())[:8]), short)
     config = tmp_path / "short.json"
     config.write_text(json.dumps(
         {"initial": TABLE_X0, "seed": 5, "oracle": {"kind": "replay", "path": str(short)}}
@@ -104,14 +140,14 @@ def test_interrupted_phase1_leaves_a_trace_prefix(tmp_path, capsys):
 @pytest.mark.parametrize("fails", [False, True])
 @pytest.mark.parametrize("command", ["phase1", "phase2"])
 def test_phase_commands_close_their_oracle(
-    command, fails, synthetic_config_file, tmp_path, monkeypatch, capsys
+    command, fails, synthetic_config_file, tmp_path, monkeypatch, capsys, write_replay
 ):
     closed = []
     monkeypatch.setattr(Oracle, "close", lambda self: closed.append(self))
     if fails:
         # A fixture holding neither command's first assignment fails at once.
         fixture = tmp_path / "other.replay"
-        ReplayFixture(records={"1 2 3 4": FitnessEstimate(0.0, 0.1, 10)}).save(fixture)
+        write_replay({"1 2 3 4": FitnessEstimate(0.0, 0.1, 10)}, fixture)
         doc = json.loads(synthetic_config_file.read_text())
         doc["oracle"] = {"kind": "replay", "path": str(fixture)}
         synthetic_config_file.write_text(json.dumps(doc))
@@ -390,14 +426,30 @@ def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
 
 ROW = {"test_id": 0, "phase": 1, "assignment": "1 2 3", "mean": -1.0, "se": 0.1, "n_games": 10}
 BAD_NOTE = {"kind": "induced", "before": 1, "after": 2, "tests": 5, "gap": 0.2, "threshold": 0.1}
+NOTE = {**BAD_NOTE, "tests": [0, 1]}
 # Trace lines that parse as JSON but are not trace rows, by test case.
 BAD_ROWS = {
     "trace-note": {**ROW, "annotations": [BAD_NOTE]},
     "trace-note-tests": {**ROW, "annotations": [{**BAD_NOTE, "tests": [0]}]},
-    "trace-note-kind": {**ROW, "annotations": [{**BAD_NOTE, "kind": "maybe", "tests": [0, 1]}]},
+    "trace-note-kind": {**ROW, "annotations": [{**NOTE, "kind": "maybe"}]},
     "trace-assignment": {**ROW, "assignment": 5},
     "trace-marker": {**ROW, "marker": 'a "quoted" star'},
     "trace-decision": {**ROW, "phase": 2, "decision": "kept"},
+    "trace-test-id-bool": {**ROW, "test_id": True},
+    "trace-test-id-float": {**ROW, "test_id": 0.5},
+    "trace-phase": {**ROW, "phase": "1"},
+    "trace-n-games": {**ROW, "n_games": 10.0},
+    "trace-mean": {**ROW, "mean": "-1.0"},
+    "trace-se": {**ROW, "se": None},
+    "trace-se-bool": {**ROW, "se": False},
+    "trace-temperature": {**ROW, "phase": 2, "temperature": "0.1"},
+    "trace-delta": {**ROW, "phase": 2, "delta": True},
+    "trace-probability": {**ROW, "phase": 2, "probability": [0.5]},
+    "trace-note-before": {**ROW, "annotations": [{**NOTE, "before": "3"}]},
+    "trace-note-after": {**ROW, "annotations": [{**NOTE, "after": True}]},
+    "trace-note-test-entry": {**ROW, "annotations": [{**NOTE, "tests": [0, 1.0]}]},
+    "trace-note-gap": {**ROW, "annotations": [{**NOTE, "gap": "0.2"}]},
+    "trace-note-threshold": {**ROW, "annotations": [{**NOTE, "threshold": None}]},
 }
 # Input files that are not UTF-8, by test case: what the error calls the file.
 NOT_UTF8 = {
@@ -455,3 +507,15 @@ def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, ca
         assert f"{trace}:{2 if case == 'trace-number' else 1}: unparseable trace line" in err
     else:
         assert "No such file or directory" in err and str(path) in err
+
+
+def test_readme_commands_and_run_config_parse():
+    # README's CLI block, optional [...] parts included, and its run config stay valid.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("dca ")]
+    assert len(commands) == 8
+    for line in commands:
+        build_parser().parse_args(shlex.split(line.replace("[", "").replace("]", ""))[1:])
+    config = re.search(r"^### Run config.*?\n```json\n(.*?)^```", readme, re.S | re.M).group(1)
+    RunConfig.from_dict(json.loads(config)).validate()

@@ -20,7 +20,6 @@ from dca.evaluation import (
     ExactOracle,
     FitnessEstimate,
     HiddenTargetLandscape,
-    ReplayFixture,
     ReplayOracle,
     SyntheticOracle,
     format_mean,
@@ -59,7 +58,7 @@ EXPECTED_BRACKET_EVIDENCE = {
 
 @pytest.fixture(scope="module")
 def replay_result(fixtures_dir):
-    oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2))
+    oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
     run = RunContext()
     result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config(), run=run)
     return result, run
@@ -252,7 +251,7 @@ class TestInduction:
 
 @pytest.fixture(scope="module")
 def all_pairs_result(fixtures_dir):
-    oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2))
+    oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
     config = Phase1Config(induction_scope="all-pairs")
     return run_phase1(X0, CachingEvaluator(oracle), config)
 
@@ -283,7 +282,7 @@ class TestAllPairsScope:
 
 class TestClimbingProperties:
     def test_global_best_mean_never_decreases(self, fixtures_dir):
-        oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2))
+        oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
         evaluator = CachingEvaluator(oracle)
         run = RunContext()
         result = run_phase1(X0, evaluator, run=run)
@@ -392,21 +391,21 @@ class TestClimbingProperties:
         assert losses <= trials * 0.05
 
     def test_oracle_errors_carry_the_partial_trace(self, fixtures_dir, tmp_path):
-        fixture = ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2)
-        truncated = ReplayFixture(records=dict(list(fixture.records.items())[:5]))
+        fixture = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
+        truncated = ReplayOracle(dict(list(fixture.records.items())[:5]))
         run = RunContext()
         with pytest.raises(ReplayMissError):
-            run_phase1(X0, CachingEvaluator(ReplayOracle(truncated)), run=run)
+            run_phase1(X0, CachingEvaluator(truncated), run=run)
         assert len(run.records) == 5
 
     def test_bad_element_order_rejected(self):
+        # A repeat or an element outside the assignment is refused before the baseline test.
         landscape = unit_landscape((1, 2, 3))
-        with pytest.raises(ConfigError):
-            run_phase1(
-                (1, 2, 3),
-                CachingEvaluator(ExactOracle(landscape)),
-                Phase1Config(element_order=[1, 1, 2]),
-            )
+        for order in ([1, 1, 2], [1, 9]):
+            evaluator, run = CachingEvaluator(ExactOracle(landscape)), RunContext()
+            with pytest.raises(ConfigError, match="element order"):
+                run_phase1((1, 2, 3), evaluator, Phase1Config(element_order=order), run=run)
+            assert evaluator.fresh_evaluations == 0 and run.records == []
 
     def test_custom_element_order_is_respected(self):
         landscape = unit_landscape((3, 2, 1))

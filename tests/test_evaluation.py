@@ -26,7 +26,6 @@ from dca.evaluation import (
     FitnessEstimate,
     HiddenTargetLandscape,
     PoolOracle,
-    ReplayFixture,
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
@@ -243,25 +242,24 @@ class TestPoolOracle:
 
 class TestReplayOracle:
     def test_returns_table_values(self, fixtures_dir):
-        oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2))
+        oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
         est = oracle.evaluate(parse_assignment("2 3 10 11 9 6 4 5 7 8"), 1000)
         assert (est.mean, est.se) == (-3.89289, 0.061798)
 
     def test_returns_final_phase2_values(self, fixtures_dir):
-        oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE3))
+        oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE3)
         est = oracle.evaluate(parse_assignment("5 4 2 3 7 6 8 10 11 9"), 16000)
         assert (est.mean, est.se) == (-2.95471, 0.013678)
 
     def test_miss_is_a_hard_error_naming_the_assignment(self, fixtures_dir):
-        oracle = ReplayOracle(ReplayFixture.load(fixtures_dir / FIXTURE_TABLE1_2))
+        oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
         with pytest.raises(ReplayMissError, match="1 2 3 4 5 6 7 8 9 10"):
             oracle.evaluate(parse_assignment("1 2 3 4 5 6 7 8 9 10"), 1000)
 
     def test_every_fixture_row_round_trips_bit_exactly(self, fixtures_dir):
         for name in (FIXTURE_TABLE1_2, FIXTURE_TABLE3):
             path = fixtures_dir / name
-            fixture = ReplayFixture.load(path)
-            oracle = ReplayOracle(fixture)
+            oracle = ReplayOracle.load(path)
             for raw in path.read_text().splitlines()[1:]:
                 key, mean_s, se_s, _ = (part.strip() for part in raw.split("|"))
                 est = oracle.evaluate(parse_assignment(key), 0)
@@ -277,13 +275,13 @@ class TestReplayOracle:
         bad = tmp_path / "empty.replay"
         bad.write_text("# dca-replay v1\n")
         with pytest.raises(ConfigError):
-            ReplayFixture.load(bad)
+            ReplayOracle.load(bad)
 
     def test_missing_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.replay"
         bad.write_text("1 2 | -1.0 | 0.1 | 10\n")
         with pytest.raises(ConfigError):
-            ReplayFixture.load(bad)
+            ReplayOracle.load(bad)
 
     @pytest.mark.parametrize(
         "row, problem",
@@ -298,13 +296,13 @@ class TestReplayOracle:
         bad = tmp_path / "bad.replay"
         bad.write_text(f"# dca-replay v1\n# a comment\n2 1 3 | -2.0 | 0.1 | 10\n{row}\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{bad}:4: replay row has {problem}')}$"):
-            ReplayFixture.load(bad)
+            ReplayOracle.load(bad)
 
     def test_repeated_assignment_rejected(self, tmp_path):
         bad = tmp_path / "repeat.replay"
         bad.write_text("# dca-replay v1\n1 2 3 | -1.0 | 0.1 | 10\n2 1 3 | -2.0 | 0.1 | 10\n1  2 3 | -3.0 | 0.1 | 10\n")
         with pytest.raises(ConfigError, match="'1 2 3' appears more than once"):
-            ReplayFixture.load(bad)
+            ReplayOracle.load(bad)
 
 
 ECHO_EVALUATOR = (
@@ -457,6 +455,10 @@ class TestSubprocessOracle:
             ('{"mean": -2.0, "se": -0.1, "n": 64}', "negative se"),
             ('{"mean": -2.0, "se": 0.1, "n": 0}', "n=0"),
             ('{"mean": -2.0, "se": 0.1, "n": Infinity}', "unusable"),
+            ('{"mean": -2.0, "se": 0.1, "n": 2.7}', "n 2.7 is not an integer"),
+            ('{"mean": -2.0, "se": 0.1, "n": true}', "n True is not an integer"),
+            ('{"mean": true, "se": 0.1, "n": 64}', "mean True is not a number"),
+            ('{"mean": -2.0, "se": false, "n": 64}', "se False is not a number"),
         ],
     )
     def test_untrustworthy_responses_are_rejected(self, line, message):

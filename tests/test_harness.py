@@ -15,7 +15,7 @@ import dca.harness
 
 from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
 from dca.errors import ConfigError, IncompatibleAssignmentsError, ReplayMissError
-from dca.evaluation import HiddenTargetLandscape, ReplayFixture
+from dca.evaluation import HiddenTargetLandscape, ReplayOracle
 from dca.harness import (
     FIXTURE_TABLE1_2,
     REPLAY_MASTER_SEED,
@@ -57,7 +57,7 @@ class TestRunConfig:
         cfg = RunConfig.from_json_file(path)
         assert cfg.phase1.n_games == 500
         assert cfg.phase1.tau == 1.5
-        assert cfg.schedule.steps == 10
+        assert cfg.phase2.steps == 10
         assert cfg.phase2.n_games_hi == 8000
         cfg.validate()
 
@@ -65,10 +65,10 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(
             {"initial": "1 2", "seed": 1, "oracle": {"kind": "exact", "target": "1 2"}}
         )
-        for part in (cfg.phase1, cfg.schedule, cfg.phase2):
+        for part in (cfg.phase1, cfg.phase2):
             for f in fields(part):
                 assert getattr(part, f.name) == f.default, f"{type(part).__name__}.{f.name}"
-        assert cfg.oracle_phase2 is None and cfg.script_moves is None
+        assert cfg.oracle_phase2 is None
 
     def test_unknown_top_level_key_is_an_error(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -92,9 +92,7 @@ class TestRunConfig:
 
     def test_schedule_hitting_zero_rejected_before_any_evaluation(self):
         cfg = synthetic_config()
-        from dca.annealer import TemperatureSchedule
-
-        cfg.schedule = TemperatureSchedule(t0=0.1, dt=0.02, steps=10)
+        cfg.phase2.t0, cfg.phase2.dt, cfg.phase2.steps = 0.1, 0.02, 10
         # The oracle spec is also broken; validation must trip first.
         cfg.oracle = {"kind": "replay", "path": "/nonexistent.replay"}
         with pytest.raises(ConfigError, match="temperature"):
@@ -327,13 +325,13 @@ class TestRunExperiment:
         assert rows[0]["test_id"] == "0"
         assert {row["phase"] for row in rows} == {"1", "2"}
 
-    def test_interrupted_run_leaves_a_parseable_trace_prefix(self, tmp_path):
+    def test_interrupted_run_leaves_a_parseable_trace_prefix(self, tmp_path, write_replay):
         # An oracle failure mid-run must still leave complete, annotated
         # rows on disk in both trace files.
-        fixture = ReplayFixture.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
+        fixture = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
         truncated = dict(list(fixture.records.items())[:8])
         fixture_path = tmp_path / "short.replay"
-        ReplayFixture(records=truncated).save(fixture_path)
+        write_replay(truncated, fixture_path)
         cfg = paper_replay_config()
         cfg.oracle = {"kind": "replay", "path": str(fixture_path)}
         out = tmp_path / "out"

@@ -56,8 +56,8 @@ class TestRunContext:
     def test_ids_are_keyed_by_assignment(self):
         run = RunContext()
         run.add(record(4, (2, 1, 3), -1.0))
-        assert run.id_of((2, 1, 3)) == 4
-        assert run.id_of((1, 2, 3)) is None
+        assert run.ids.get((2, 1, 3)) == 4
+        assert run.ids.get((1, 2, 3)) is None
 
     def test_running_best_is_the_maximum_mean_so_far(self):
         run = RunContext()
