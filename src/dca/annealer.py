@@ -32,9 +32,7 @@ from .trace import (
     DECISION_ACCEPTED_WORSE,
     DECISION_IMPROVED,
     DECISION_REJECTED_WORSE,
-    MARKER_ACCEPTED_WORSE,
     MARKER_NONE,
-    MARKER_REJECTED_WORSE,
     MARKER_STAR,
     RunContext,
     TraceRecord,
@@ -214,21 +212,7 @@ def run_phase2(
     # When the start was already traced (a continued run), the re-test keeps
     # its original test id, matching the printed tables.
     current_est, fresh = evaluator.estimate(start, config.n_games_hi)
-    prior_id = run.ids.get(start)
-    reeval_id = prior_id if prior_id is not None else run.fresh_id()
-    run.add(
-        TraceRecord(
-            test_id=reeval_id,
-            phase=2,
-            assignment=start,
-            mean=current_est.mean,
-            se=current_est.se,
-            n_games=current_est.n_games,
-            marker=MARKER_STAR,
-            cached=not fresh,
-            reeval=True,
-        )
-    )
+    run.add(2, start, current_est, run.ids.get(start), marker=MARKER_STAR, cached=not fresh, reeval=True)
     run.checkpoint()
 
     current = start
@@ -255,28 +239,11 @@ def run_phase2(
         if cand_est.mean > best_est.mean:
             marker = MARKER_STAR
             best, best_est = candidate, cand_est
-        elif decision == DECISION_ACCEPTED_WORSE:
-            marker = MARKER_ACCEPTED_WORSE
-        elif decision == DECISION_REJECTED_WORSE:
-            marker = MARKER_REJECTED_WORSE
         else:
-            marker = MARKER_NONE
-
+            marker = MARKER_NONE if decision == DECISION_IMPROVED else decision
         run.add(
-            TraceRecord(
-                test_id=run.fresh_id(),
-                phase=2,
-                assignment=candidate,
-                mean=cand_est.mean,
-                se=cand_est.se,
-                n_games=cand_est.n_games,
-                marker=marker,
-                temperature=temperature,
-                delta=delta,
-                probability=probability,
-                decision=decision,
-                cached=not fresh,
-            )
+            2, candidate, cand_est, marker=marker, temperature=temperature, delta=delta,
+            probability=probability, decision=decision, cached=not fresh,
         )
         run.checkpoint()
 

@@ -17,7 +17,7 @@ from .constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from .errors import ConfigError
 from .evaluation import CachingEvaluator, FitnessEstimate, significant_difference
 from .perm import Assignment, adjacent_transposition_diff, insertion_move, rank_of
-from .trace import MARKER_NONE, MARKER_STAR, RunContext, TraceRecord
+from .trace import MARKER_NONE, MARKER_STAR, RunContext
 
 SCOPE_FLANKING = "flanking"
 SCOPE_ALL_PAIRS = "all-pairs"
@@ -84,7 +84,6 @@ class Phase1Result:
     graph: ConstraintGraph
     sweeps: list[SweepState]
     decisions: list[RankConstraint]
-    evaluations_used: int
 
     def induced_pairs(self) -> set[tuple[int, int]]:
         return {d.pair() for d in self.decisions if d.induced}
@@ -114,6 +113,9 @@ def run_sweep(
     current_rank = rank_of(baseline, element)
     probes: dict[int, SweepProbe] = {}
     stop_rank: Optional[int] = None
+    # The incumbent's mean is the best traced so far; a fresh probe above
+    # every earlier one is starred.
+    best_mean = baseline_estimate.mean
 
     for rank in range(1, n + 1):
         if rank == current_rank:
@@ -123,20 +125,8 @@ def run_sweep(
             x = insertion_move(baseline, element, rank)
             est, fresh = evaluator.estimate(x, config.n_games)
         if fresh:
-            test_id = run.fresh_id()
-            improves = run.best_mean is not None and est.mean > run.best_mean
-            marker = MARKER_STAR if improves else MARKER_NONE
-            run.add(
-                TraceRecord(
-                    test_id=test_id,
-                    phase=1,
-                    assignment=x,
-                    mean=est.mean,
-                    se=est.se,
-                    n_games=est.n_games,
-                    marker=marker,
-                )
-            )
+            test_id = run.add(1, x, est, marker=MARKER_STAR if est.mean > best_mean else MARKER_NONE)
+            best_mean = max(best_mean, est.mean)
         else:
             test_id = run.ids.get(x, -1)
         probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
@@ -229,20 +219,10 @@ def run_phase1(
 
     graph = ConstraintGraph()
     run = run if run is not None else RunContext()
-    evaluations_before = evaluator.fresh_evaluations
 
     baseline_estimate, fresh = evaluator.estimate(x0, config.n_games_baseline)
     if fresh:
-        run.add(
-            TraceRecord(
-                test_id=run.fresh_id(),
-                phase=1,
-                assignment=x0,
-                mean=baseline_estimate.mean,
-                se=baseline_estimate.se,
-                n_games=baseline_estimate.n_games,
-            )
-        )
+        run.add(1, x0, baseline_estimate)
 
     best, best_estimate = x0, baseline_estimate
     sweeps: list[SweepState] = []
@@ -266,5 +246,4 @@ def run_phase1(
         graph=graph,
         sweeps=sweeps,
         decisions=decisions,
-        evaluations_used=evaluator.fresh_evaluations - evaluations_before,
     )

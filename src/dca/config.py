@@ -51,10 +51,12 @@ def not_an_int(value) -> bool:
 def number(kind: type, value, what: str):
     """`value` as an int or a float: the one rule for what a config number is.
 
-    A bool is not a number, and an int setting rejects a non-integral value
-    instead of truncating it (9.0 reads as 9). Anything else `kind` cannot
-    convert is a ConfigError too.
+    A bool or a string is not a number, and an int setting rejects a
+    non-integral value instead of truncating it (9.0 reads as 9). Anything
+    else `kind` cannot convert is a ConfigError too.
     """
+    if isinstance(value, str):  # int("3") and float("1.5") would read a string as a number
+        raise ConfigError(f"{what} {value!r} is not a number")
     if not_an_int(value) if kind is int else isinstance(value, bool):
         raise ConfigError(f"{what} {value!r} is not {'an integer' if kind is int else 'a number'}")
     try:

@@ -94,6 +94,14 @@ def significant_difference(a: FitnessEstimate, b: FitnessEstimate, tau: float = 
     return abs(a.mean - b.mean) > tau * max(a.se, b.se)
 
 
+def _digits(key):
+    """A JSON object key, always a string, as the int it spells; any other key as it is."""
+    try:
+        return int(key) if isinstance(key, str) else key
+    except ValueError:
+        return key
+
+
 @dataclass(frozen=True)
 class HiddenTargetLandscape:
     """Separable fitness over permutations: weighted displacement from a target.
@@ -205,7 +213,7 @@ class HiddenTargetLandscape:
         if isinstance(raw_w, (int, float)):
             weights = dict.fromkeys(target, real(raw_w, "weights"))
         elif isinstance(raw_w, dict):
-            weights = {integer(k, "weight key"): real(v, "weight") for k, v in raw_w.items()}
+            weights = {integer(_digits(k), "weight key"): real(v, "weight") for k, v in raw_w.items()}
         elif isinstance(raw_w, (list, tuple)):
             if len(raw_w) != len(target):
                 raise ConfigError(f"{len(raw_w)} weights for a target of {len(target)} elements")
@@ -361,8 +369,10 @@ class SubprocessOracle(Oracle):
     def __init__(self, cmd: Sequence[str], timeout: float = 30.0, seed: int = 0):
         if not (isinstance(cmd, (list, tuple)) and cmd and all(isinstance(a, str) for a in cmd)):
             raise ConfigError(f"subprocess oracle needs a non-empty list of strings as cmd, got {cmd!r}")
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise ConfigError(f"subprocess timeout must be finite and positive, got {timeout}")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # the longest wait a queue or a thread takes
+            raise ConfigError(
+                f"subprocess timeout must be finite and positive, <= {threading.TIMEOUT_MAX}, got {timeout}"
+            )
         self.cmd = list(cmd)
         self.timeout = timeout
         self.seed = seed

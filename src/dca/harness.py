@@ -294,7 +294,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
     with assemble(cfg, out_dir) as parts:
         started = time.perf_counter()
         p1 = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
-        phase1_games = parts.evaluator1.games_used
+        phase1_tests, phase1_games = parts.evaluator1.fresh_evaluations, parts.evaluator1.games_used
         # Phase 2's share of its evaluator is whatever accrues from here on.
         games_before = parts.evaluator2.games_used
         tests_before = parts.evaluator2.fresh_evaluations
@@ -311,7 +311,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
         phase1=p1,
         phase2=p2,
         trace=parts.run.records,
-        phase1_tests=p1.evaluations_used,
+        phase1_tests=phase1_tests,
         phase1_games=phase1_games,
         phase2_tests=parts.evaluator2.fresh_evaluations - tests_before,
         phase2_games=parts.evaluator2.games_used - games_before,

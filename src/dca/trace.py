@@ -19,24 +19,25 @@ from typing import Optional
 from .config import read_text
 from .constraints import NOT_INDUCED, AddOutcome, RankConstraint
 from .errors import ConfigError, DcaError
+from .evaluation import FitnessEstimate
 from .perm import Assignment, format_assignment, parse_assignment
 
 MARKER_NONE = "none"
 MARKER_STAR = "star"
-MARKER_ACCEPTED_WORSE = "accepted-worse"
-MARKER_REJECTED_WORSE = "rejected-worse"
 
 DECISION_IMPROVED = "improved"
 DECISION_ACCEPTED_WORSE = "accepted-worse"
 DECISION_REJECTED_WORSE = "rejected-worse"
 
 # The words a row may hold; the writers copy them verbatim, so read_trace
-# rejects any other.
-MARKERS = frozenset({MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE})
+# rejects any other. A phase-2 row that is not a new best is marked with its
+# worse decision, if it has one.
+MARKERS = frozenset({MARKER_NONE, MARKER_STAR, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE})
 DECISIONS = frozenset({None, DECISION_IMPROVED, DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE})
 # A note's "kind" word for each outcome a trace row is annotated with.
 NOTE_KINDS = {"induced": AddOutcome.ADDED.value, "not-induced": NOT_INDUCED}
 # The JSON types a row's fields may hold; a bool is not an int here.
+_BOOL = (bool,)
 _INT = (int,)
 _NUMBER = (int, float)
 _NUMBER_OR_NULL = (int, float, type(None))
@@ -83,12 +84,13 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceRecord":
+        phase = _typed(doc["phase"], _INT)
         marker, decision = doc.get("marker", MARKER_NONE), doc.get("decision")
-        if marker not in MARKERS or decision not in DECISIONS:
-            raise ValueError(f"unknown marker {marker!r} or decision {decision!r}")
+        if phase not in (1, 2) or marker not in MARKERS or decision not in DECISIONS:
+            raise ValueError(f"unknown phase {phase!r}, marker {marker!r} or decision {decision!r}")
         return cls(
             test_id=_typed(doc["test_id"], _INT),
-            phase=_typed(doc["phase"], _INT),
+            phase=phase,
             assignment=parse_assignment(doc["assignment"]),
             mean=_typed(doc["mean"], _NUMBER),
             se=_typed(doc["se"], _NUMBER),
@@ -99,8 +101,8 @@ class TraceRecord:
             delta=_typed(doc.get("delta"), _NUMBER_OR_NULL),
             probability=_typed(doc.get("probability"), _NUMBER_OR_NULL),
             decision=decision,
-            cached=doc.get("cached", False),
-            reeval=doc.get("reeval", False),
+            cached=_typed(doc.get("cached", False), _BOOL),
+            reeval=_typed(doc.get("reeval", False), _BOOL),
         )
 
 
@@ -270,9 +272,9 @@ class RunContext:
 
     Trace writing is funnelled through this single object: phases call
     checkpoint() at their natural boundaries and the attached sink (if any)
-    writes every row added or changed since the previous one. Records enter
-    through add(), which also keeps the lookups by assignment and by test id
-    and the best mean seen so far; annotations go through annotate(), which
+    writes every row added or changed since the previous one. Rows are made
+    only by add(), which numbers each test and keeps the lookups by
+    assignment and by test id; annotations go through annotate(), which
     remembers the lowest row it changed so the sink can rewrite from there.
     """
 
@@ -280,21 +282,23 @@ class RunContext:
     records: list[TraceRecord] = field(default_factory=list)
     ids: dict[Assignment, int] = field(default_factory=dict)
     sink: Optional[TraceSink] = None
-    best_mean: Optional[float] = field(default=None, init=False)
     # test id -> row index in `records`
     by_id: dict[int, int] = field(default_factory=dict, init=False, repr=False)
     # lowest row annotated since the last checkpoint
     changed: Optional[int] = field(default=None, init=False, repr=False)
 
-    def add(self, record: TraceRecord) -> TraceRecord:
+    def add(
+        self, phase: int, x: Assignment, est: FitnessEstimate, test_id: Optional[int] = None, **fields
+    ) -> int:
+        """Add the `phase` row of `x`'s test with TraceRecord `fields`; its id is `test_id` or the next."""
+        if test_id is None:
+            test_id, self.next_id = self.next_id, self.next_id + 1
         # The phase-2 re-evaluation reuses a phase-1 test id; the first row
         # stored under an id is the one its annotations belong to.
-        self.by_id.setdefault(record.test_id, len(self.records))
-        self.records.append(record)
-        self.ids[record.assignment] = record.test_id
-        if self.best_mean is None or record.mean > self.best_mean:
-            self.best_mean = record.mean
-        return record
+        self.by_id.setdefault(test_id, len(self.records))
+        self.records.append(TraceRecord(test_id, phase, x, est.mean, est.se, est.n_games, **fields))
+        self.ids[x] = test_id
+        return test_id
 
     def annotate(self, test_id: int, note: RankConstraint) -> None:
         """Attach `note` to the row of `test_id`, if the trace has one."""
@@ -309,11 +313,6 @@ class RunContext:
         if self.sink is not None:
             self.sink.flush_to(self.records, self.changed)
         self.changed = None
-
-    def fresh_id(self) -> int:
-        i = self.next_id
-        self.next_id += 1
-        return i
 
     def record_by_id(self, test_id: int) -> Optional[TraceRecord]:
         row = self.by_id.get(test_id)

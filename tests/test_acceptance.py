@@ -87,7 +87,8 @@ def test_criterion_2_sweep_boundary_replay():
     with criterion(2, "sweep boundaries and the 36-test evaluation sequence"):
         oracle = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
         run = RunContext()
-        result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config(), run=run)
+        evaluator = CachingEvaluator(oracle)
+        result = run_phase1(X0, evaluator, Phase1Config(), run=run)
         by_element = {sweep.element: sweep for sweep in result.sweeps}
 
         assert by_element[11].stop_rank == 5
@@ -100,7 +101,7 @@ def test_criterion_2_sweep_boundary_replay():
         assert by_element[6].stop_rank == 4
         assert by_element[7].stop_rank == 6
 
-        assert result.evaluations_used == 36
+        assert evaluator.fresh_evaluations == 36
         assert [r.test_id for r in run.records] == list(range(36))
 
 

@@ -277,6 +277,10 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
         pytest.param("phase1", "games", "many", "phase1 games 'many' is not a number", id="games"),
         pytest.param("phase1", "tau", "high", "phase1 tau 'high' is not a number", id="tau"),
         pytest.param(None, "seed", "abc", "seed 'abc' is not a number", id="seed"),
+        pytest.param(None, "seed", "7", "seed '7' is not a number", id="seed-string"),
+        pytest.param("phase1", "tau", "1.5", "phase1 tau '1.5' is not a number", id="tau-string"),
+        pytest.param("phase1", "games", "300", "phase1 games '300' is not a number", id="games-string"),
+        pytest.param("phase2", "steps", "3", "phase2 steps '3' is not a number", id="steps-string"),
         pytest.param(None, "initial", 5, "unparseable assignment 5", id="initial"),
         pytest.param(None, "initial", ["a", "b"], "unparseable assignment ['a', 'b']", id="initial-ids"),
         pytest.param("phase2", "script_moves", 5, "script_moves must be a path", id="script-moves"),
@@ -295,6 +299,11 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
         pytest.param(
             None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "timeout": -1},
             "timeout must be finite and positive", id="timeout-negative",
+        ),
+        pytest.param(
+            # Refused before any child starts: queue and thread waits take at most TIMEOUT_MAX.
+            None, "oracle", {"kind": "subprocess", "cmd": ["dca-no-such-evaluator"], "timeout": 1e300},
+            "timeout must be finite and positive, <= ", id="timeout-too-large",
         ),
         pytest.param(
             None, "oracle", {"kind": "subprocess", "cmd": ["dca-no-such-evaluator"]},
@@ -438,6 +447,10 @@ BAD_ROWS = {
     "trace-test-id-bool": {**ROW, "test_id": True},
     "trace-test-id-float": {**ROW, "test_id": 0.5},
     "trace-phase": {**ROW, "phase": "1"},
+    "trace-phase-3": {**ROW, "phase": 3},
+    "trace-phase-bool": {**ROW, "phase": True},
+    "trace-cached": {**ROW, "phase": 2, "cached": "no"},
+    "trace-reeval": {**ROW, "phase": 2, "reeval": 1},
     "trace-n-games": {**ROW, "n_games": 10.0},
     "trace-mean": {**ROW, "mean": "-1.0"},
     "trace-se": {**ROW, "se": None},

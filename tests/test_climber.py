@@ -59,9 +59,9 @@ EXPECTED_BRACKET_EVIDENCE = {
 @pytest.fixture(scope="module")
 def replay_result(fixtures_dir):
     oracle = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2)
-    run = RunContext()
-    result = run_phase1(X0, CachingEvaluator(oracle), Phase1Config(), run=run)
-    return result, run
+    run, evaluator = RunContext(), CachingEvaluator(oracle)
+    result = run_phase1(X0, evaluator, Phase1Config(), run=run)
+    return result, run, evaluator
 
 
 def unit_landscape(target, sigma=0.0):
@@ -132,15 +132,15 @@ class TestSweepBoundaries:
             assert sweep.stop_rank > 2
 
     def test_exactly_36_distinct_evaluations_in_table_order(self, replay_result, fixtures_dir):
-        result, run = replay_result
-        assert result.evaluations_used == 36
+        _, run, evaluator = replay_result
+        assert evaluator.fresh_evaluations == 36
         assert [r.test_id for r in run.records] == list(range(36))
         fixture_lines = (fixtures_dir / FIXTURE_TABLE1_2).read_text().splitlines()[1:]
         fixture_order = [line.split("|")[0].strip() for line in fixture_lines]
         assert [format_assignment(r.assignment) for r in run.records] == fixture_order
 
     def test_baseline_runs_at_its_own_budget(self, replay_result):
-        _, run = replay_result
+        _, run, _ = replay_result
         assert run.records[0].n_games == 2000
         assert all(r.n_games == 1000 for r in run.records[1:])
 
@@ -222,7 +222,7 @@ class TestInduction:
         assert format_mean(result.best_estimate.mean) == "-3.12261"
 
     def test_annotations_land_on_the_later_test_row(self, replay_result):
-        _, run = replay_result
+        _, run, _ = replay_result
         annotated = {r.test_id: [(n.before, n.after, n.induced) for n in r.annotations]
                      for r in run.records if r.annotations}
         assert annotated[3] == [(10, 11, True)]
@@ -271,9 +271,11 @@ class TestAllPairsScope:
         ]
         assert outcomes == [AddOutcome.REDUNDANT.value]
 
-    def test_trajectory_is_unchanged_by_scope(self, all_pairs_result):
+    def test_trajectory_is_unchanged_by_scope(self, all_pairs_result, fixtures_dir):
         assert all_pairs_result.best == X34
-        assert all_pairs_result.evaluations_used == 36
+        evaluator = CachingEvaluator(ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2))
+        run_phase1(X0, evaluator, Phase1Config(induction_scope="all-pairs"))
+        assert evaluator.fresh_evaluations == 36
 
     def test_scope_over_induces_relative_to_flanking(self, all_pairs_result):
         added = {d.pair() for d in all_pairs_result.decisions if d.induced}

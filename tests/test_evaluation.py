@@ -459,6 +459,7 @@ class TestSubprocessOracle:
             ('{"mean": -2.0, "se": 0.1, "n": true}', "n True is not an integer"),
             ('{"mean": true, "se": 0.1, "n": 64}', "mean True is not a number"),
             ('{"mean": -2.0, "se": false, "n": 64}', "se False is not a number"),
+            ('{"mean": "-2.0", "se": "0.1", "n": "64"}', "mean '-2.0' is not a number"),
         ],
     )
     def test_untrustworthy_responses_are_rejected(self, line, message):

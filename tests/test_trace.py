@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dca.constraints import NOT_INDUCED, AddOutcome, RankConstraint
+from dca.evaluation import FitnessEstimate
 from dca.harness import RunConfig, run_experiment
 from dca.perm import format_assignment
 from dca.trace import (
@@ -21,9 +22,8 @@ from dca.trace import (
     DECISION_ACCEPTED_WORSE,
     DECISION_IMPROVED,
     DECISION_REJECTED_WORSE,
-    MARKER_ACCEPTED_WORSE,
+    MARKERS,
     MARKER_NONE,
-    MARKER_REJECTED_WORSE,
     MARKER_STAR,
     RunContext,
     TraceRecord,
@@ -37,40 +37,34 @@ from dca.trace import (
 )
 
 
-def record(test_id, assignment, mean, phase=1):
-    return TraceRecord(
-        test_id=test_id, phase=phase, assignment=assignment, mean=mean, se=0.1, n_games=1000
-    )
+def estimate(mean):
+    return FitnessEstimate(mean, 0.1, 1000)
 
 
 class TestRunContext:
     def test_first_record_under_an_id_wins(self):
         # The phase-2 re-evaluation reuses the phase-1 test id of its start.
         run = RunContext()
-        first = run.add(record(0, (1, 2, 3), -2.0))
-        reeval = run.add(record(0, (1, 2, 3), -1.5, phase=2))
+        assert run.add(1, (1, 2, 3), estimate(-2.0)) == 0
+        assert run.add(2, (1, 2, 3), estimate(-1.5), 0, marker=MARKER_STAR, reeval=True) == 0
+        first, reeval = run.records
         assert run.record_by_id(0) is first
-        assert run.records == [first, reeval]
+        assert reeval == TraceRecord(0, 2, (1, 2, 3), -1.5, 0.1, 1000, marker=MARKER_STAR, reeval=True)
         assert run.record_by_id(1) is None
+        # A given id takes no number from the counter.
+        assert run.add(1, (2, 1, 3), estimate(-1.0)) == 1
+        assert run.records[-1] == TraceRecord(1, 1, (2, 1, 3), -1.0, 0.1, 1000)
 
     def test_ids_are_keyed_by_assignment(self):
         run = RunContext()
-        run.add(record(4, (2, 1, 3), -1.0))
+        run.add(1, (2, 1, 3), estimate(-1.0), 4)
         assert run.ids.get((2, 1, 3)) == 4
         assert run.ids.get((1, 2, 3)) is None
-
-    def test_running_best_is_the_maximum_mean_so_far(self):
-        run = RunContext()
-        assert run.best_mean is None
-        means = [-3.0, -1.0, -2.0, -0.5, -0.7]
-        for i, mean in enumerate(means):
-            run.add(record(i, (1, 2, 3), mean))
-            assert run.best_mean == max(means[: i + 1])
 
     def test_annotate_marks_the_lowest_changed_row(self):
         run = RunContext()
         for i in range(3):
-            run.add(record(i, (1, 2, 3), -1.0 - i))
+            run.add(1, (1, 2, 3), estimate(-1.0 - i))
         note = RankConstraint(1, 2, (0, 1), 1.0, 0.1)
         run.annotate(2, note)
         run.annotate(1, note)
@@ -100,10 +94,10 @@ class TestTraceSink:
         run = RunContext(sink=TraceSink(tmp_path))
         assert_files_match(tmp_path, [])
         for i in range(3):
-            run.add(record(i, (1, 2, 3), -1.0 - i))
+            run.add(1, (1, 2, 3), estimate(-1.0 - i))
         run.checkpoint()
         assert_files_match(tmp_path, run.records)
-        run.add(record(3, (1, 3, 2), -0.5))
+        run.add(1, (1, 3, 2), estimate(-0.5))
         run.annotate(1, RankConstraint(3, 2, (0, 1), 0.1, 0.2, NOT_INDUCED))
         run.checkpoint()
         assert_files_match(tmp_path, run.records)
@@ -283,7 +277,7 @@ records = st.builds(
     mean=reals,
     se=reals,
     n_games=st.integers(1, 10**6),
-    marker=st.sampled_from([MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE]),
+    marker=st.sampled_from(sorted(MARKERS)),
     annotations=st.lists(notes, max_size=4),
     temperature=st.none() | reals,
     delta=st.none() | reals,
@@ -358,7 +352,7 @@ def run_rows(draw, test_id):
         )
     return TraceRecord(
         phase=2,
-        marker=draw(st.sampled_from([MARKER_NONE, MARKER_STAR, MARKER_ACCEPTED_WORSE, MARKER_REJECTED_WORSE])),
+        marker=draw(st.sampled_from(sorted(MARKERS))),
         temperature=draw(st.none() | run_reals),
         delta=draw(st.none() | run_reals),
         probability=draw(st.none() | run_reals),
