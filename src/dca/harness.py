@@ -14,7 +14,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, permutations
 from pathlib import Path
 from typing import Iterator, Optional
@@ -32,8 +32,8 @@ from .annealer import (
 )
 from .climber import Phase1Config, Phase1Result, run_phase1
 from .config import check_keys, integer, read, read_json_file, real, required
-from .constraints import ConstraintGraph, to_dot, to_edge_list_text
-from .errors import ConfigError
+from .constraints import AddOutcome, ConstraintGraph, to_dot, to_edge_list_text
+from .errors import ConfigError, InvalidConstraintError
 from .evaluation import (
     CachingEvaluator,
     ExactOracle,
@@ -47,7 +47,7 @@ from .evaluation import (
     format_se,
 )
 from .perm import Assignment, as_assignment, format_assignment, parse_assignment
-from .trace import RunContext, TraceRecord, TraceSink
+from .trace import DECISION_ACCEPTED_WORSE, DECISION_REJECTED_WORSE, RunContext, TraceRecord, TraceSink
 
 BRUTE_FORCE_MAX_N = 9
 BRUTE_FORCE_CHUNK = 4096
@@ -76,8 +76,9 @@ TABLE_PHASE1_MEAN = "-3.12261"
 TABLE_PHASE1_TESTS = 36
 TABLE_PHASE2_BEST = "5 4 2 3 7 6 8 10 11 9"
 TABLE_PHASE2_MEAN = "-2.95471"
-TABLE_P39 = 0.90833
-TABLE_P45 = 0.36825
+# Phase 2's printed tags and probabilities by test id; test 41's probability is replay_verify's outlier.
+TABLE_DECISIONS = {39: DECISION_ACCEPTED_WORSE, 41: DECISION_REJECTED_WORSE, 45: DECISION_REJECTED_WORSE}
+TABLE_PROBABILITIES = {39: 0.90833, 45: 0.36825}
 TABLE_P41 = 0.31854
 PROBABILITY_TOL = 5e-6
 
@@ -336,12 +337,14 @@ def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:
 
 
 def graph_from_trace(records: list[TraceRecord]) -> ConstraintGraph:
-    """Rebuild the induced constraint set from trace annotations."""
+    """Rebuild the induced constraint set from trace annotations; a note closing a cycle raises."""
     g = ConstraintGraph()
     for record in records:
         for note in record.annotations:
-            if note.induced:
-                g.try_add(note)
+            if note.induced and (note.before == note.after or g.try_add(note) is AddOutcome.CYCLE_REJECTED):
+                raise InvalidConstraintError(
+                    f"test {record.test_id}: induced note {note.before}<{note.after} closes a cycle"
+                )
     return g
 
 
@@ -414,12 +417,7 @@ class ReplayReport:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "constraints_match": self.constraints_match,
-            "values_match": self.values_match,
-            "discrepancies": self.discrepancies,
-            "details": self.details,
-        }
+        return asdict(self)
 
     @property
     def ok(self) -> bool:
@@ -430,125 +428,82 @@ def replay_verify(fixtures_dir: Optional[str | Path] = None) -> ReplayReport:
     """Run the full pipeline against the table fixtures and diff the outcome.
 
     Compares: the induced constraint set (the twelve), the below-gate set
-    (the four), both phase winners, and the acceptance probabilities at the
-    two printed worse-candidate rows. The row printed with probability 0.31854
-    is reported as a standing discrepancy: its own temperature column gives
-    exp(-0.06864/0.05) = 0.25340, while 0.31854 matches the previous row's
-    temperature, so the recorded value looks off by one schedule step.
+    (the four), both phase winners, the printed phase-2 decisions and
+    acceptance probabilities, and every row against the packaged
+    transcription. The row printed with probability 0.31854 is a standing
+    discrepancy: its own temperature column gives exp(-0.06864/0.05) =
+    0.25340, while 0.31854 matches the previous row's temperature, so the
+    recorded value looks off by one schedule step.
     """
     cfg = paper_replay_config(fixtures_dir)
     summary = run_experiment(cfg)
-
-    discrepancies: list[str] = []
-    details: dict = {}
-
-    observed_constraints = [d.pair() for d in summary.phase1.decisions if d.induced]
-    expected_constraints = set(TABLE_CONSTRAINTS)
-    missing = expected_constraints - set(observed_constraints)
-    extra = set(observed_constraints) - expected_constraints
-    constraints_match = not missing and not extra
-    for pair in sorted(missing):
-        discrepancies.append(f"constraint {pair[0]}<{pair[1]} expected but not induced")
-    for pair in sorted(extra):
-        discrepancies.append(f"constraint {pair[0]}<{pair[1]} induced but not expected")
-
-    observed_brackets = summary.phase1.bracketed_pairs()
-    if observed_brackets != set(TABLE_BRACKETS):
-        constraints_match = False
-        for pair in observed_brackets ^ set(TABLE_BRACKETS):
-            discrepancies.append(f"below-gate pair {sorted(pair)} differs from the printed set")
-
-    values_match = True
-
-    def check(condition: bool, message: str) -> None:
-        nonlocal values_match
-        if not condition:
-            values_match = False
-            discrepancies.append(message)
-
-    check(
-        format_assignment(summary.phase1.best) == TABLE_PHASE1_BEST,
-        f"phase-1 best {format_assignment(summary.phase1.best)} != {TABLE_PHASE1_BEST}",
+    p1, p2 = summary.phase1, summary.phase2
+    constraints = [d.pair() for d in p1.decisions if d.induced]
+    expected, induced, brackets = set(TABLE_CONSTRAINTS), set(constraints), p1.bracketed_pairs()
+    steps = {r.test_id: r for r in p2.step_records()}
+    decisions = {i: steps[i].decision for i in sorted(steps)}
+    outliers = [(r, math.exp(-r.delta / r.temperature)) for r in steps.values() if r.test_id == 41]
+    winners = (
+        ("phase-1 best", format_assignment(p1.best), TABLE_PHASE1_BEST),
+        ("phase-1 mean", format_mean(p1.best_estimate.mean), TABLE_PHASE1_MEAN),
+        ("phase-1 distinct tests", summary.phase1_tests, TABLE_PHASE1_TESTS),
+        ("phase-2 best", format_assignment(p2.best), TABLE_PHASE2_BEST),
+        ("phase-2 mean", format_mean(p2.best_estimate.mean), TABLE_PHASE2_MEAN),
     )
-    check(
-        format_mean(summary.phase1.best_estimate.mean) == TABLE_PHASE1_MEAN,
-        f"phase-1 mean {format_mean(summary.phase1.best_estimate.mean)} != {TABLE_PHASE1_MEAN}",
-    )
-    check(
-        summary.phase1_tests == TABLE_PHASE1_TESTS,
-        f"phase-1 distinct tests {summary.phase1_tests} != {TABLE_PHASE1_TESTS}",
-    )
-    check(
-        format_assignment(summary.phase2.best) == TABLE_PHASE2_BEST,
-        f"phase-2 best {format_assignment(summary.phase2.best)} != {TABLE_PHASE2_BEST}",
-    )
-    check(
-        format_mean(summary.phase2.best_estimate.mean) == TABLE_PHASE2_MEAN,
-        f"phase-2 mean {format_mean(summary.phase2.best_estimate.mean)} != {TABLE_PHASE2_MEAN}",
-    )
-
-    by_id = {r.test_id: r for r in summary.trace if r.phase == 2 and not r.reeval}
-    decisions = {i: by_id[i].decision for i in sorted(by_id)}
-    details["phase2_decisions"] = decisions
-    check(by_id.get(39) is not None and by_id[39].decision == "accepted-worse", "test 39 not tagged accepted-worse")
-    for rejected_id in (41, 45):
-        check(
-            by_id.get(rejected_id) is not None and by_id[rejected_id].decision == "rejected-worse",
-            f"test {rejected_id} not tagged rejected-worse",
-        )
-    if 39 in by_id:
-        check(
-            abs(by_id[39].probability - TABLE_P39) <= PROBABILITY_TOL,
-            f"test 39 probability {by_id[39].probability:.6f} != {TABLE_P39}",
-        )
-    if 45 in by_id:
-        check(
-            abs(by_id[45].probability - TABLE_P45) <= PROBABILITY_TOL,
-            f"test 45 probability {by_id[45].probability:.6f} != {TABLE_P45}",
-        )
-    if 41 in by_id:
-        row = by_id[41]
-        row_consistent = math.exp(-row.delta / row.temperature)
-        details["test41"] = {
-            "printed": TABLE_P41,
-            "row_consistent": row_consistent,
-            "previous_row_temperature": row.temperature + 0.01,
-        }
-        discrepancies.append(
-            "test 41: printed probability 0.31854 matches the previous row's temperature; "
-            f"the row-consistent value is {row_consistent:.5f}"
-        )
-        check(
-            abs(row.probability - row_consistent) <= PROBABILITY_TOL,
-            f"test 41 probability {row.probability:.6f} not row-consistent",
-        )
-
     # Every trace row must carry the packaged transcription bit-exactly.
-    packaged_p1 = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2).records
-    packaged_p2 = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE3).records
-    for record in summary.trace:
-        key = format_assignment(record.assignment)
-        expected = (packaged_p1 if record.phase == 1 else packaged_p2).get(key)
-        if expected is None:
-            check(False, f"test {record.test_id} evaluated unexpected assignment {key}")
-            continue
-        check(
-            format_mean(record.mean) == format_mean(expected.mean)
-            and format_se(record.se) == format_se(expected.se),
-            f"test {record.test_id} value {format_mean(record.mean)}/{format_se(record.se)} "
-            f"drifted from the transcription",
-        )
+    printed = {
+        (phase, key): f"{format_mean(e.mean)}/{format_se(e.se)}"
+        for phase, name in ((1, FIXTURE_TABLE1_2), (2, FIXTURE_TABLE3))
+        for key, e in ReplayOracle.load(packaged_fixtures_dir() / name).records.items()
+    }
+    rows = [
+        (r.test_id, (r.phase, format_assignment(r.assignment)), f"{format_mean(r.mean)}/{format_se(r.se)}")
+        for r in summary.trace
+    ]
 
-    details["phase1_best"] = format_assignment(summary.phase1.best)
-    details["phase2_best"] = format_assignment(summary.phase2.best)
-    details["constraints"] = [f"{a}<{b}" for a, b in observed_constraints]
-    details["bracketed"] = sorted(sorted(p) for p in observed_brackets)
-    details["phase1_games"] = summary.phase1_games
-    details["phase2_games"] = summary.phase2_games
-
+    constraint_faults = (
+        [f"constraint {a}<{b} expected but not induced" for a, b in sorted(expected - induced)]
+        + [f"constraint {a}<{b} induced but not expected" for a, b in sorted(induced - expected)]
+        + [f"below-gate pair {sorted(p)} differs from the printed set" for p in brackets ^ set(TABLE_BRACKETS)]
+    )
+    table_faults = (
+        [f"{label} {seen} != {want}" for label, seen, want in winners if seen != want]
+        + [f"test {i} not tagged {tag}" for i, tag in TABLE_DECISIONS.items() if decisions.get(i) != tag]
+        + [
+            f"test {i} probability {steps[i].probability:.6f} != {p}"
+            for i, p in TABLE_PROBABILITIES.items()
+            if i in steps and abs(steps[i].probability - p) > PROBABILITY_TOL
+        ]
+    )
+    notes = [
+        f"test {r.test_id}: printed probability {TABLE_P41} matches the previous row's temperature; "
+        f"the row-consistent value is {consistent:.5f}"
+        for r, consistent in outliers
+    ]
+    row_faults = [
+        f"test {r.test_id} probability {r.probability:.6f} not row-consistent"
+        for r, consistent in outliers if abs(r.probability - consistent) > PROBABILITY_TOL
+    ] + [
+        f"test {i} value {value} drifted from the transcription" if key in printed
+        else f"test {i} evaluated unexpected assignment {key[1]}"
+        for i, key, value in rows if printed.get(key) != value
+    ]
     return ReplayReport(
-        constraints_match=constraints_match,
-        values_match=values_match,
-        discrepancies=discrepancies,
-        details=details,
+        constraints_match=not constraint_faults,
+        values_match=not (table_faults or row_faults),
+        discrepancies=constraint_faults + table_faults + notes + row_faults,
+        details={
+            "phase1_best": format_assignment(p1.best),
+            "phase2_best": format_assignment(p2.best),
+            "constraints": [f"{a}<{b}" for a, b in constraints],
+            "bracketed": sorted(sorted(p) for p in brackets),
+            "phase1_games": summary.phase1_games,
+            "phase2_games": summary.phase2_games,
+            "phase2_decisions": decisions,
+            **{
+                f"test{r.test_id}": {"printed": TABLE_P41, "row_consistent": consistent,
+                                     "previous_row_temperature": r.temperature + cfg.phase2.dt}
+                for r, consistent in outliers
+            },
+        },
     )

@@ -229,7 +229,11 @@ class TraceSink:
     def __init__(self, out_dir: str | Path):
         out = Path(out_dir)
         self._jsonl = (out / "trace.jsonl").open("wb")
-        self._csv = (out / "trace.csv").open("wb")
+        try:
+            self._csv = (out / "trace.csv").open("wb")
+        except OSError:
+            self._jsonl.close()
+            raise
         header = CSV_HEADER.encode()
         self._csv.write(header)
         self._csv.flush()

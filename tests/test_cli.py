@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from dca.cli import build_parser, main
+from dca.constraints import RankConstraint
 from dca.evaluation import FitnessEstimate, Oracle, ReplayOracle, format_mean, format_se
 from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, RunConfig, packaged_fixtures_dir
-from dca.trace import dump_trace, read_trace, trace_to_csv
+from dca.trace import TraceRecord, dump_trace, read_trace, trace_to_csv
 
 
 @pytest.fixture
@@ -259,6 +262,35 @@ def test_export_dag_from_trace(synthetic_config_file, tmp_path, capsys):
     dot_path = tmp_path / "ranking.dot"
     assert main(["export-dag", "--trace", str(out / "trace.jsonl"), "--out", str(dot_path)]) == 0
     assert dot_path.read_text().startswith("digraph")
+
+
+def test_optimize_closes_the_jsonl_trace_when_the_csv_cannot_open(
+    synthetic_config_file, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    (out / "trace.csv").mkdir(parents=True)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    assert main(["optimize", "--config", str(synthetic_config_file), "--out", str(out)]) == 2
+    gc.collect()
+    assert capsys.readouterr().err.startswith("error:")
+    assert unraisable == []
+
+
+@pytest.mark.parametrize("pairs", [[(2, 3), (3, 2)], [(2, 2)]], ids=["cycle", "self-loop"])
+def test_export_dag_rejects_an_induced_note_closing_a_cycle(pairs, tmp_path, capsys):
+    records = [
+        TraceRecord(i, 1, (1, 2, 3), -1.0, 0.1, 10, annotations=[RankConstraint(a, b, (0, i), 0.5, 0.2)])
+        for i, (a, b) in enumerate(pairs)
+    ]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(dump_trace(records))
+    dot_path = tmp_path / "dag.dot"
+    assert main(["export-dag", "--trace", str(trace), "--out", str(dot_path)]) == 2
+    err = capsys.readouterr().err
+    a, b = pairs[-1]
+    assert err.startswith("error:") and f"test {len(pairs) - 1}: induced note {a}<{b} closes a cycle" in err
+    assert not dot_path.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 import dca.harness
 
+from dca.cli import main
 from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
 from dca.errors import ConfigError, IncompatibleAssignmentsError, ReplayMissError
 from dca.evaluation import HiddenTargetLandscape, ReplayOracle
 from dca.harness import (
     FIXTURE_TABLE1_2,
+    FIXTURE_TABLE3,
     REPLAY_MASTER_SEED,
     RunConfig,
     brute_force_optimum,
@@ -374,7 +377,54 @@ class TestExportDag:
             assert edge_records(rebuilt) == edge_records(summary.phase1.graph)
 
 
+# One edit per replay-fixture copy: (fixture file, old text, new text), the
+# exit code of `dca replay --fixtures <copy>` and the sha256 of its stdout.
+REPLAY_PINS = {
+    "packaged": (None, 0, "ae8e9dea3b133f036750d5813a5e0031e47cc154b365ffe170f3b057a4fb14ec"),
+    "gate-flip": (
+        (FIXTURE_TABLE1_2, "3 2 10 11 9 6 4 5 7 8 | -3.96985", "3 2 10 11 9 6 4 5 7 8 | -3.91985"),
+        1, "a9735446f0fb509fc0e180cee6babe9b5aa5985d03ef841c733eb20d38eb4369",
+    ),
+    "phase1-mean": (
+        (FIXTURE_TABLE1_2, "| -3.12261 |", "| -3.12262 |"),
+        1, "ffc6f1698026ad34dc42a50cfcec287ee52f42d84a6e482d48bb808b8669c1a6",
+    ),
+    "phase2-mean": (
+        (FIXTURE_TABLE3, "| -2.95471 |", "| -2.95472 |"),
+        1, "8c3103e8041653df6d9b98ec5cd5d543dadac94987e43dc603b6c854ca51454b",
+    ),
+    "reeval-se": (
+        (FIXTURE_TABLE3, "2 5 3 4 8 10 11 9 6 7 | -3.12690 | 0.013852", "2 5 3 4 8 10 11 9 6 7 | -3.12690 | 0.013853"),
+        1, "2e6446aa8c4e9a52638a6d78b5f25562d0bd4cb8de95942a844da86eca9910ae",
+    ),
+    "test39-probability": (
+        (FIXTURE_TABLE3, "2 5 3 4 7 8 6 10 11 9 | -3.05799", "2 5 3 4 7 8 6 10 11 9 | -3.25799"),
+        1, "7c3b0db058028d878eb8bc09eef4cc07b988cfc512341e819e260fad08d00453",
+    ),
+    "test45-improves": (
+        (FIXTURE_TABLE3, "5 4 2 3 6 7 8 10 11 9 | -2.96470", "5 4 2 3 6 7 8 10 11 9 | -2.90470"),
+        1, "fd527d6cb7d1fec7424858592e706fe211ca1165c7ff1847cd9a274aae5278df",
+    ),
+    "path-diverges": (
+        (FIXTURE_TABLE3, "5 2 3 4 7 6 8 10 11 9 | -3.11263", "5 2 3 4 7 6 8 10 11 9 | -3.04463"),
+        2, hashlib.sha256(b"").hexdigest(),
+    ),
+}
+
+
 class TestReplayVerify:
+    @pytest.mark.parametrize("edit, code, digest", REPLAY_PINS.values(), ids=REPLAY_PINS)
+    def test_replay_stdout_is_pinned(self, edit, code, digest, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(packaged_fixtures_dir(), fixtures)
+        if edit is not None:
+            name, old, new = edit
+            text = (fixtures / name).read_text()
+            assert text.count(old) == 1
+            (fixtures / name).write_text(text.replace(old, new))
+        assert main(["replay", "--fixtures", str(fixtures)]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_shipped_fixtures_match(self):
         report = replay_verify()
         assert report.constraints_match
