@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from .errors import ConfigError
 from .evaluation import CachingEvaluator, FitnessEstimate, significant_difference
-from .perm import Assignment, adjacent_transposition_diff, insertion_move, rank_of
+from .perm import Assignment, adjacent_transposition_diff, format_assignment, insertion_move, rank_of
 from .trace import MARKER_NONE, MARKER_STAR, RunContext
 
 SCOPE_FLANKING = "flanking"
@@ -107,7 +108,9 @@ def run_sweep(
     any other previously evaluated assignment is reused from the cache. The
     stop rule treats the element's current position as anchored left context:
     a dip right after it ends the sweep, while a dip at a rank with no
-    established rise to its left does not.
+    established rise to its left does not. A streamed run's probe text is
+    spliced from the baseline's without the element: the element goes in at
+    `cut[rank - 1]`, where the rank-th token starts, or last at rank n.
     """
     n = len(baseline)
     current_rank = rank_of(baseline, element)
@@ -116,6 +119,11 @@ def run_sweep(
     # The incumbent's mean is the best traced so far; a fresh probe above
     # every earlier one is starred.
     best_mean = baseline_estimate.mean
+    text = None
+    if run.sink is not None:
+        rest = format_assignment(baseline[: current_rank - 1] + baseline[current_rank:])
+        cut = list(accumulate((len(token) + 1 for token in rest.split(" ")), initial=0))
+        name = format_assignment((element,))
 
     for rank in range(1, n + 1):
         if rank == current_rank:
@@ -125,7 +133,11 @@ def run_sweep(
             x = insertion_move(baseline, element, rank)
             est, fresh = evaluator.estimate(x, config.n_games)
         if fresh:
-            test_id = run.add(1, x, est, marker=MARKER_STAR if est.mean > best_mean else MARKER_NONE)
+            if run.sink is not None:
+                at = cut[rank - 1]
+                text = f"{rest} {name}" if rank == n else f"{rest[:at]}{name} {rest[at:]}"
+            marker = MARKER_STAR if est.mean > best_mean else MARKER_NONE
+            test_id = run.add(1, x, est, marker=marker, text=text)
             best_mean = max(best_mean, est.mean)
         else:
             test_id = run.ids.get(x, -1)

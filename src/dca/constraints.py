@@ -145,9 +145,6 @@ class ConstraintGraph:
                 delta -= 1
         return sign * delta
 
-    def satisfies(self, x: Assignment) -> bool:
-        return self.violations(x) == 0
-
     def transitive_reduction(self) -> "ConstraintGraph":
         """Minimal edge set with the same reachability relation."""
         reduced = ConstraintGraph()

@@ -12,10 +12,12 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import queue
 import subprocess
 import threading
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -129,9 +131,9 @@ class HiddenTargetLandscape:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         # Column i of a score row is target rank i. Column 0 takes the
-        # elements outside the target at weight 0.0, so each row's sum starts
-        # at 0.0, as `sum` does, and a -0.0 term cannot change its sign. A
-        # target rank that no element fills stays NaN.
+        # elements outside the target at weight 0.0, so each row's sum is a
+        # left-to-right fold from 0.0 and a -0.0 term cannot change its sign.
+        # A target rank that no element fills stays NaN.
         n = len(self.target)
         object.__setattr__(self, "_slot", {e: i for i, e in enumerate(self.target, start=1)})
         object.__setattr__(self, "_w", np.array([0.0, *(self.weights[e] for e in self.target)]))
@@ -159,14 +161,13 @@ class HiddenTargetLandscape:
         """The true fitness of each of `rows`, assignments of one length.
 
         Each row's elements are mapped to their target ranks and scattered
-        into a rank array in target order; the terms w * |r - i| are then
-        added left to right in target order, from 0.0, so every score is
-        bit-identical to `-sum` over a list of the terms. Elements outside
-        the target are ignored. A missing element raises ElementNotFoundError
-        naming the first such element, in target order, of the first such
-        row. `weights` must not be mutated after construction. Weights so
-        large that a term overflows give inf or NaN, as before, and numpy's
-        RuntimeWarning.
+        into a rank array in target order; each score is the negated
+        left-to-right fold from 0.0 of the terms w * |r - i|, in target
+        order, bit for bit. Elements outside the target are ignored. A
+        missing element raises ElementNotFoundError naming the first such
+        element, in target order, of the first such row. `weights` must not
+        be mutated after construction. Weights so large that a term
+        overflows give inf or NaN, as before, and numpy's RuntimeWarning.
 
         A batch costs the same dozen numpy calls as one row: about 1 us a
         row in the 4096-row batches of `brute_force_optimum` at n=9, where
@@ -289,8 +290,12 @@ class SyntheticOracle(Oracle):
         return FitnessEstimate(mean=float(mean), se=se, n_games=n_games)
 
 
+def _fold(terms) -> float:  # not `sum`: from Python 3.12 it compensates float rounding
+    return reduce(operator.add, terms, 0.0)
+
+
 class PoolOracle(Oracle):
-    """Weighted average across an opponent pool of sub-oracles."""
+    """Weighted average across an opponent pool of sub-oracles, summed as left-to-right folds."""
 
     def __init__(self, members: Sequence[tuple[Oracle, float]]):
         if not members:
@@ -300,10 +305,10 @@ class PoolOracle(Oracle):
         self.members = list(members)
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
-        total_w = sum(w for _, w in self.members)
+        total_w = _fold(w for _, w in self.members)
         estimates = [(oracle.evaluate(x, n_games), w) for oracle, w in self.members]
-        mean = sum(w * est.mean for est, w in estimates) / total_w
-        se = math.sqrt(sum((w / total_w) ** 2 * est.se**2 for est, w in estimates))
+        mean = _fold(w * est.mean for est, w in estimates) / total_w
+        se = math.sqrt(_fold((w / total_w) ** 2 * est.se**2 for est, w in estimates))
         games = sum(est.n_games for est, _ in estimates)
         return FitnessEstimate(mean=mean, se=se, n_games=games)
 
@@ -482,30 +487,23 @@ def decode_response(line: str) -> FitnessEstimate:
 class CachingEvaluator:
     """Per-run estimate cache keyed by (assignment, game tier).
 
-    Assignments already checked are never re-sampled within a run. The cache
-    is lock-protected so sweep evaluations may run from worker threads.
+    Assignments already checked are never re-sampled within a run. A run
+    estimates from one thread, so the cache takes no lock.
     """
 
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
         self._cache: dict[tuple[Assignment, int], FitnessEstimate] = {}
-        self._lock = threading.Lock()
         self.games_used = 0
         self.fresh_evaluations = 0
 
     def estimate(self, x: Assignment, n_games: int) -> tuple[FitnessEstimate, bool]:
         """Return (estimate, fresh); fresh is False on a cache hit."""
         key = (x, n_games)
-        with self._lock:
-            hit = self._cache.get(key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit, False
-        est = self.oracle.evaluate(x, n_games)
-        with self._lock:
-            already = self._cache.get(key)
-            if already is not None:
-                return already, False
-            self._cache[key] = est
-            self.games_used += est.n_games
-            self.fresh_evaluations += 1
+        est = self._cache[key] = self.oracle.evaluate(x, n_games)
+        self.games_used += est.n_games
+        self.fresh_evaluations += 1
         return est, True

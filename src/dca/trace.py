@@ -81,6 +81,8 @@ class TraceRecord:
     decision: Optional[str] = None
     cached: bool = False
     reeval: bool = False
+    # The formatted assignment, when the row's maker already has it.
+    text: Optional[str] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceRecord":
@@ -153,10 +155,6 @@ def trace_line(record: TraceRecord, assignment: Optional[str] = None) -> str:
     )
 
 
-def dump_trace(records: list[TraceRecord]) -> str:
-    return "".join(trace_line(r) for r in records)
-
-
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """The records of a trace.jsonl; a line that is not a trace row is a ConfigError naming it."""
     text = read_text(path, "trace")
@@ -205,25 +203,20 @@ def csv_row(record: TraceRecord, assignment: Optional[str] = None) -> str:
     )
 
 
-def trace_to_csv(records: list[TraceRecord]) -> str:
-    """Flatten records for spreadsheets: the header, then one csv_row per record."""
-    return CSV_HEADER + "".join(csv_row(r) for r in records)
-
-
 class TraceSink:
     """The one writer of a run's trace.jsonl and trace.csv, fed through checkpoints.
 
     Each row is serialised once, into its JSON line and its CSV row from a
-    single formatted assignment, and each flush encodes each file's new rows
-    in one call. The sink keeps every row's byte offset in both files. Rows
-    are ASCII by construction (digits, spaces, fixed words and float
-    reprs), so a row's string length is its byte length; a non-ASCII
-    character would make the flush raise before it writes, not write rows
-    at wrong offsets. A flush rewinds to the first row changed since the last one
-    (a late annotation) or else the first unwritten row, truncates there and
-    writes from that row on. After every flush both files equal dump_trace
-    and trace_to_csv of the records, so an interrupted run leaves a valid
-    prefix of each.
+    single formatted assignment (the row's `text` when it has one), and
+    each flush encodes each file's new rows in one call. The sink keeps
+    every row's byte offset in both files. Rows are ASCII by construction
+    (digits, spaces, fixed words and float reprs), so a row's string
+    length is its byte length; a non-ASCII character would make the flush
+    raise before it writes, not write rows at wrong offsets. A flush
+    rewinds to the first row changed since the last one (a late
+    annotation) or else the first unwritten row, truncates there and
+    writes from that row on. After every flush the files hold every
+    record's trace_line and csv_row: an interrupted run leaves a valid prefix.
     """
 
     def __init__(self, out_dir: str | Path):
@@ -252,7 +245,7 @@ class TraceSink:
         json_at, csv_at = self._offsets[-1]
         lines, rows = [], []
         for record in records[start:]:
-            assignment = format_assignment(record.assignment)
+            assignment = format_assignment(record.assignment) if record.text is None else record.text
             line = trace_line(record, assignment)
             row = csv_row(record, assignment)
             json_at += len(line)

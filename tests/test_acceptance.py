@@ -37,7 +37,9 @@ from dca.harness import (
     run_experiment,
 )
 from dca.perm import Assignment, format_assignment, insertion_move, parse_assignment, rank_of
-from dca.trace import RunContext, dump_trace
+from dca.trace import RunContext
+
+from references import dump_trace
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")

@@ -42,7 +42,9 @@ from dca.perm import (
     insertion_move,
     parse_assignment,
 )
-from dca.trace import RunContext, dump_trace
+from dca.trace import RunContext
+
+from references import dump_trace
 
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
 X44 = parse_assignment("5 4 2 3 7 6 8 10 11 9")

@@ -15,7 +15,9 @@ from dca.cli import build_parser, main
 from dca.constraints import RankConstraint
 from dca.evaluation import FitnessEstimate, Oracle, ReplayOracle, format_mean, format_se
 from dca.harness import FIXTURE_TABLE1_2, TABLE_X0, RunConfig, packaged_fixtures_dir
-from dca.trace import TraceRecord, dump_trace, read_trace, trace_to_csv
+from dca.trace import TraceRecord, read_trace
+
+from references import dump_trace, trace_to_csv
 
 
 @pytest.fixture

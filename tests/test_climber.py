@@ -26,7 +26,9 @@ from dca.evaluation import (
 )
 from dca.harness import FIXTURE_TABLE1_2, TABLE_BRACKETS, TABLE_CONSTRAINTS
 from dca.perm import format_assignment, parse_assignment
-from dca.trace import RunContext, dump_trace
+from dca.trace import RunContext
+
+from references import dump_trace
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")

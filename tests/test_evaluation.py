@@ -38,7 +38,9 @@ from dca.evaluation import (
     significant_difference,
 )
 from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
-from dca.perm import format_assignment, parse_assignment, rank_of
+from dca.perm import parse_assignment, rank_of
+
+from references import fold, reference_fitness
 
 # Pinned digests of the shipped table transcriptions; any drift fails loudly.
 FIXTURE_SHA256 = {
@@ -230,6 +232,17 @@ class TestPoolOracle:
         se = 0.06
         pool = PoolOracle([(self._Fixed(-1.0, se), 1.0) for _ in range(4)])
         assert pool.evaluate((1, 2), 10).se == pytest.approx(se / 2)
+
+    def test_three_members_add_as_left_to_right_folds(self):
+        # A compensated sum, which the builtin `sum` of floats is from Python
+        # 3.12, gives other bytes for these members than a plain fold does.
+        members = [(-1e16, 3.0), (-1.0, 3e-8), (1e16, 3e-8)]
+        pool = PoolOracle([(self._Fixed(m, se), 1.0) for m, se in members])
+        means = [1.0 * m for m, _ in members]
+        variances = [(1.0 / 3.0) ** 2 * se**2 for _, se in members]
+        assert fold(means) != math.fsum(means) and fold(variances) != math.fsum(variances)
+        est = pool.evaluate((1, 2), 10)
+        assert (est.mean, est.se, est.n_games) == (fold(means) / 3.0, math.sqrt(fold(variances)), 3000)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
@@ -483,32 +496,6 @@ class TestCachingEvaluator:
         assert evaluator.fresh_evaluations == 2
         assert evaluator.games_used == 300
 
-    def test_thread_safety_single_oracle_call_per_key(self):
-        import threading
-
-        calls = []
-
-        class Counting(ExactOracle):
-            def __init__(self):
-                pass
-
-            def evaluate(self, x, n_games):
-                calls.append(x)
-                return FitnessEstimate(-1.0, 0.0, n_games)
-
-        evaluator = CachingEvaluator(Counting())
-        threads = [
-            threading.Thread(target=lambda: evaluator.estimate((1, 2, 3), 50))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert evaluator.estimate((1, 2, 3), 50)[1] is False  # a second estimate is a hit
-        assert evaluator.games_used == 50 * evaluator.fresh_evaluations
-        assert evaluator.fresh_evaluations == 1
-
 
 class TestLandscapeConfig:
     def test_scalar_weight_shorthand(self):
@@ -559,7 +546,7 @@ class TestTrueFitness:
     def test_matches_the_rank_lookup_sum_bit_for_bit(self, target, x):
         weights = {e: 1.0 / (e + 0.3) for e in target}
         landscape = HiddenTargetLandscape(target=tuple(target), weights=weights)
-        expected = -sum(
+        expected = -fold(
             weights[e] * abs(rank_of(tuple(x), e) - rank_of(tuple(target), e)) for e in target
         )
         assert landscape.true_fitness(tuple(x)) == expected
@@ -571,17 +558,6 @@ class TestTrueFitness:
     def test_the_first_missing_element_in_target_order_is_named(self):
         with pytest.raises(ElementNotFoundError, match="^element 2 not in assignment 1 5 6 4$"):
             unit_landscape((1, 2, 3, 4)).true_fitness((1, 5, 6, 4))
-
-
-def reference_fitness(landscape: HiddenTargetLandscape, x) -> float:
-    """The scorer `scores` replaces: a list of products over (element, rank, weight) terms."""
-    rank = dict(zip(x, range(1, len(x) + 1)))
-    terms = [(e, i, landscape.weights[e]) for i, e in enumerate(landscape.target, start=1)]
-    try:
-        return -sum([w * abs(rank[e] - i) for e, i, w in terms])
-    except KeyError:
-        missing = next(e for e in landscape.target if e not in rank)
-        raise ElementNotFoundError(f"element {missing} not in assignment {format_assignment(x)}") from None
 
 
 weights_st = st.one_of(

@@ -10,11 +10,12 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dca.climber import SCOPE_ALL_PAIRS, SCOPE_FLANKING, Phase1Config, run_phase1
 from dca.constraints import NOT_INDUCED, AddOutcome, RankConstraint
-from dca.evaluation import FitnessEstimate
+from dca.evaluation import CachingEvaluator, ExactOracle, FitnessEstimate, HiddenTargetLandscape
 from dca.harness import RunConfig, run_experiment
 from dca.perm import format_assignment
 from dca.trace import (
@@ -29,12 +30,12 @@ from dca.trace import (
     TraceRecord,
     TraceSink,
     csv_row,
-    dump_trace,
     parse_note,
     read_trace,
     trace_line,
-    trace_to_csv,
 )
+
+from references import dump_trace, trace_to_csv
 
 
 def estimate(mean):
@@ -391,3 +392,60 @@ class TestLosslessRoundTrip:
         json_ends = list(accumulate(map(len, jsonl.splitlines(keepends=True)), initial=0))
         csv_ends = list(accumulate(map(len, csv_bytes.splitlines(keepends=True))))
         assert offsets == list(zip(json_ends, csv_ends))
+
+
+@st.composite
+def sweep_problems(draw):
+    """An exact landscape over n ids up to 10**9, a start, and a phase-1 config whose first swept
+    element starts at rank 1 or rank n."""
+    n = draw(st.integers(2, 80))
+    x0 = tuple(draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
+    target = tuple(draw(st.permutations(x0)))
+    weights = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    first = draw(st.sampled_from([x0[0], x0[-1]]))
+    others = draw(st.lists(st.sampled_from(x0).filter(lambda e: e != first), max_size=2, unique=True))
+    config = Phase1Config(
+        n_games=1,
+        n_games_baseline=1,
+        element_order=[first, *others],
+        induction_scope=draw(st.sampled_from([SCOPE_FLANKING, SCOPE_ALL_PAIRS])),
+    )
+    return HiddenTargetLandscape(target=target, weights=dict(zip(target, weights))), x0, config
+
+
+def phase1_rows(problem, out=None):
+    """The records of `problem`'s phase 1, streamed to `out` if given."""
+    landscape, x0, config = problem
+    run = RunContext(sink=None if out is None else TraceSink(out))
+    try:
+        run_phase1(x0, CachingEvaluator(ExactOracle(landscape)), config, run)
+    finally:
+        if run.sink is not None:
+            run.sink.close()
+    return run.records
+
+
+def unit_problem(x0, target, element):
+    landscape = HiddenTargetLandscape(target=target, weights=dict.fromkeys(target, 1.0))
+    return landscape, x0, Phase1Config(n_games=1, n_games_baseline=1, element_order=[element])
+
+
+class TestSplicedProbeText:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_problems())
+    # Element 7 climbs from rank 1 to rank n; element 10**9 drops from rank n to rank 1.
+    @example(unit_problem((7, 12, 305, 4000, 10**9), (12, 305, 4000, 10**9, 7), 7))
+    @example(unit_problem((7, 12, 305, 4000, 10**9), (10**9, 7, 12, 305, 4000), 10**9))
+    def test_probe_rows_carry_their_assignment_text(self, problem):
+        with tempfile.TemporaryDirectory() as out:
+            rows = phase1_rows(problem, out)
+            jsonl = (Path(out) / "trace.jsonl").read_text()
+            csv_text = (Path(out) / "trace.csv").read_text()
+        # The baseline row has no text; every probe row has its assignment's.
+        assert rows[0].text is None
+        assert [r.text for r in rows[1:]] == [format_assignment(r.assignment) for r in rows[1:]]
+        assert jsonl == dump_trace(rows) and csv_text == trace_to_csv(rows)
+        # An untraced run builds no text and the same rows.
+        untraced = phase1_rows(problem)
+        assert untraced == rows
+        assert all(r.text is None for r in untraced)
