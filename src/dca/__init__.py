@@ -14,14 +14,7 @@ from .annealer import (
     acceptance_probability,
     run_phase2,
 )
-from .climber import (
-    Phase1Config,
-    Phase1Result,
-    SweepState,
-    induce_from_sweep,
-    run_phase1,
-    run_sweep,
-)
+from .climber import Phase1Config, Phase1Result, run_phase1
 from .constraints import (
     AddOutcome,
     ConstraintGraph,
@@ -37,8 +30,6 @@ from .evaluation import (
     ReplayOracle,
     SubprocessOracle,
     SyntheticOracle,
-    aggregate,
-    significant_difference,
 )
 from .harness import (
     ExperimentSummary,
@@ -53,7 +44,6 @@ from .harness import (
 from .perm import (
     Assignment,
     Move,
-    adjacent_transposition_diff,
     as_assignment,
     enumerate_insertion_neighbors,
     format_assignment,

@@ -180,12 +180,24 @@ class Phase2Result:
     best: Assignment
     best_estimate: FitnessEstimate
     trace: list[TraceRecord]
-    accepted_worse: int = 0
-    rejected_worse: int = 0
-    improved: int = 0
 
     def step_records(self) -> list[TraceRecord]:
         return [r for r in self.trace if r.phase == 2 and not r.reeval]
+
+    def _count(self, decision: str) -> int:
+        return sum(1 for r in self.step_records() if r.decision == decision)
+
+    @property
+    def improved(self) -> int:
+        return self._count(DECISION_IMPROVED)
+
+    @property
+    def accepted_worse(self) -> int:
+        return self._count(DECISION_ACCEPTED_WORSE)
+
+    @property
+    def rejected_worse(self) -> int:
+        return self._count(DECISION_REJECTED_WORSE)
 
 
 def run_phase2(
@@ -217,7 +229,6 @@ def run_phase2(
 
     current = start
     best, best_est = current, current_est
-    accepted_worse = rejected_worse = improved = 0
 
     for k in range(config.steps):
         temperature = config.temperature(k)
@@ -227,13 +238,10 @@ def run_phase2(
         probability = acceptance_probability(current_est.mean, cand_est.mean, temperature)
         if delta <= 0:
             decision = DECISION_IMPROVED
-            improved += 1
         elif acceptance_rng.random() < probability:
             decision = DECISION_ACCEPTED_WORSE
-            accepted_worse += 1
         else:
             decision = DECISION_REJECTED_WORSE
-            rejected_worse += 1
         accept = decision != DECISION_REJECTED_WORSE
 
         if cand_est.mean > best_est.mean:
@@ -250,14 +258,7 @@ def run_phase2(
         if accept:
             current, current_est = candidate, cand_est
 
-    return Phase2Result(
-        best=best,
-        best_estimate=best_est,
-        trace=run.records[first_row:],
-        accepted_worse=accepted_worse,
-        rejected_worse=rejected_worse,
-        improved=improved,
-    )
+    return Phase2Result(best=best, best_estimate=best_est, trace=run.records[first_row:])
 
 
 def load_scripted_moves(path: str | Path) -> list[Assignment]:

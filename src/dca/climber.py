@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .constraints import NOT_INDUCED, ConstraintGraph, RankConstraint
 from .errors import ConfigError
-from .evaluation import CachingEvaluator, FitnessEstimate, significant_difference
-from .perm import Assignment, adjacent_transposition_diff, format_assignment, insertion_move, rank_of
+from .evaluation import CachingEvaluator, FitnessEstimate
+from .perm import Assignment, format_assignment, insertion_move, rank_of
 from .trace import MARKER_NONE, MARKER_STAR, RunContext
 
 SCOPE_FLANKING = "flanking"
@@ -73,9 +73,6 @@ class SweepState:
 
     def fresh_ranks(self) -> list[int]:
         return [r for r in sorted(self.probes) if self.probes[r].fresh]
-
-    def reused_ranks(self) -> list[int]:
-        return [r for r in sorted(self.probes) if not self.probes[r].fresh]
 
 
 @dataclass
@@ -179,21 +176,15 @@ def induce_from_sweep(
 
     Each candidate pair differs by one adjacent transposition of the swept
     element and the element it displaced. When the fitness gap clears the
-    noise gate, the ordering of the fitter side is submitted to the graph;
-    otherwise the pair is reported as not-induced. One record per comparison
-    holds its outcome; an added or not-induced one also lands on the trace
-    row of the later test of the pair.
+    noise gate, `gap > tau * max(se)` over the pair's two estimates, the
+    ordering of the fitter side is submitted to the graph; otherwise the pair
+    is reported as not-induced. One record per comparison holds its outcome;
+    an added or not-induced one also lands on the trace row of the later test
+    of the pair.
     """
     decisions: list[RankConstraint] = []
     for lo_rank, hi_rank in _candidate_pairs(sweep, scope):
         lo, hi = sweep.probes[lo_rank], sweep.probes[hi_rank]
-        # Consecutive sweep ranks differ by one adjacent transposition at
-        # lo_rank: the swept element and whichever element it displaced.
-        diff = adjacent_transposition_diff(lo.assignment, hi.assignment)
-        if diff is None or diff[1] != lo_rank or sweep.element not in diff[0]:
-            raise ConfigError(
-                f"sweep probes at ranks {lo_rank},{hi_rank} are not an adjacent swap"
-            )
         gap = abs(lo.estimate.mean - hi.estimate.mean)
         threshold = tau * max(lo.estimate.se, hi.estimate.se)
         if lo.estimate.mean >= hi.estimate.mean:
@@ -201,7 +192,7 @@ def induce_from_sweep(
         else:
             before, after = hi.assignment[lo_rank - 1], hi.assignment[lo_rank]
         c = RankConstraint(before, after, (lo.test_id, hi.test_id), gap, threshold)
-        if significant_difference(lo.estimate, hi.estimate, tau):
+        if gap > threshold:
             c.outcome = graph.try_add(c).value
         else:
             c.outcome = NOT_INDUCED

@@ -21,10 +21,6 @@ class InvalidConstraintError(DcaError):
     """A ranking constraint is malformed (e.g. a self-loop)."""
 
 
-class EmptyBatchError(DcaError):
-    """A sample batch contained no per-game results."""
-
-
 class ReplayMissError(DcaError):
     """A replay oracle was asked for an assignment missing from its fixture."""
 

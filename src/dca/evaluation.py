@@ -1,4 +1,4 @@
-"""The noisy objective boundary: sampling, aggregation, oracles, replay fixtures.
+"""The noisy objective boundary: sampling, oracles, replay fixtures.
 
 Every oracle maps (assignment, game budget) to a FitnessEstimate. Synthetic
 and exact oracles score against a configurable hidden landscape; replay
@@ -28,7 +28,6 @@ from .config import check_keys, integer, read, read_text, real, required
 from .errors import (
     ConfigError,
     ElementNotFoundError,
-    EmptyBatchError,
     OracleIOError,
     ReplayMissError,
 )
@@ -75,25 +74,6 @@ def format_mean(value: float) -> str:
 def format_se(value: float) -> str:
     """Fixed trace formatting for standard errors (6 decimals); zero is unsigned."""
     return _unsigned_zero(f"{value:.6f}")
-
-
-def aggregate(samples: Sequence[float]) -> FitnessEstimate:
-    """Mean and standard error (n-1 divisor, over sqrt(n)) of per-game scores."""
-    n = len(samples)
-    if n == 0:
-        raise EmptyBatchError("cannot aggregate an empty sample batch")
-    mean = math.fsum(samples) / n
-    if n == 1:
-        return FitnessEstimate(mean=mean, se=0.0, n_games=1)
-    var = math.fsum((s - mean) ** 2 for s in samples) / (n - 1)
-    return FitnessEstimate(mean=mean, se=math.sqrt(var / n), n_games=n)
-
-
-def significant_difference(a: FitnessEstimate, b: FitnessEstimate, tau: float = 1.0) -> bool:
-    """Noise gate: the means differ by more than tau times the larger SE."""
-    if tau <= 0:
-        raise ConfigError(f"threshold multiplier must be positive, got {tau}")
-    return abs(a.mean - b.mean) > tau * max(a.se, b.se)
 
 
 def _digits(key):
@@ -420,6 +400,7 @@ class SubprocessOracle(Oracle):
                 line = self._lines.get(timeout=self.timeout)
             except queue.Empty:
                 child.kill()
+                self.close()  # reap it now: a killed child still polls as running for a while
                 raise OracleIOError(f"evaluator timed out after {self.timeout}s") from None
         if not line:
             raise OracleIOError("evaluator closed its output without responding", payload=line)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .config import not_an_int
 from .errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
@@ -106,29 +106,6 @@ def insertion_move(x: Assignment, element: int, rank: int) -> Assignment:
         ) from None
     rest = x[:i] + x[i + 1:]
     return rest[: rank - 1] + (element,) + rest[rank - 1:]
-
-
-def adjacent_transposition_diff(
-    a: Assignment, b: Assignment
-) -> Optional[tuple[tuple[int, int], int]]:
-    """If `a` and `b` differ by one swap of neighbouring positions, report it.
-
-    Returns ((a_element, b_element), rank) where `rank` is the left position
-    of the swapped pair (so the swap touches ranks `rank` and `rank+1`), or
-    None when the assignments are equal or differ by more than one adjacent
-    swap.
-    """
-    if sorted(a) != sorted(b):
-        raise IncompatibleAssignmentsError(
-            f"assignments cover different elements: {format_assignment(a)} vs {format_assignment(b)}"
-        )
-    diffs = [i for i, (p, q) in enumerate(zip(a, b)) if p != q]
-    if len(diffs) != 2:
-        return None
-    i, j = diffs
-    if j != i + 1 or a[i] != b[j] or a[j] != b[i]:
-        return None
-    return (a[i], a[j]), i + 1
 
 
 class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
+from typing import Optional, Sequence
 
+from dca.climber import SweepState
 from dca.constraints import ConstraintGraph
-from dca.errors import ElementNotFoundError
-from dca.evaluation import HiddenTargetLandscape
-from dca.perm import format_assignment
+from dca.errors import ConfigError, ElementNotFoundError, IncompatibleAssignmentsError
+from dca.evaluation import FitnessEstimate, HiddenTargetLandscape
+from dca.perm import Assignment, format_assignment
 from dca.trace import CSV_HEADER, TraceRecord, csv_row, trace_line
 
 
@@ -42,3 +45,50 @@ def reference_fitness(landscape: HiddenTargetLandscape, x) -> float:
     except KeyError:
         missing = next(e for e in landscape.target if e not in rank)
         raise ElementNotFoundError(f"element {missing} not in assignment {format_assignment(x)}") from None
+
+
+def aggregate(samples: Sequence[float]) -> FitnessEstimate:
+    """Mean and standard error (n-1 divisor, over sqrt(n)) of per-game scores; se 0 at one game."""
+    n = len(samples)
+    if n == 0:
+        raise ValueError("cannot aggregate an empty sample batch")
+    mean = math.fsum(samples) / n
+    if n == 1:
+        return FitnessEstimate(mean=mean, se=0.0, n_games=1)
+    var = math.fsum((s - mean) ** 2 for s in samples) / (n - 1)
+    return FitnessEstimate(mean=mean, se=math.sqrt(var / n), n_games=n)
+
+
+def significant_difference(a: FitnessEstimate, b: FitnessEstimate, tau: float = 1.0) -> bool:
+    """The noise gate: the means differ by more than tau times the larger se."""
+    if tau <= 0:
+        raise ConfigError(f"threshold multiplier must be positive, got {tau}")
+    return abs(a.mean - b.mean) > tau * max(a.se, b.se)
+
+
+def adjacent_transposition_diff(
+    a: Assignment, b: Assignment
+) -> Optional[tuple[tuple[int, int], int]]:
+    """If `a` and `b` differ by one swap of neighbouring positions, report it.
+
+    Returns ((a_element, b_element), rank) where `rank` is the left position
+    of the swapped pair (so the swap touches ranks `rank` and `rank+1`), or
+    None when the assignments are equal or differ by more than one adjacent
+    swap.
+    """
+    if sorted(a) != sorted(b):
+        raise IncompatibleAssignmentsError(
+            f"assignments cover different elements: {format_assignment(a)} vs {format_assignment(b)}"
+        )
+    diffs = [i for i, (p, q) in enumerate(zip(a, b)) if p != q]
+    if len(diffs) != 2:
+        return None
+    i, j = diffs
+    if j != i + 1 or a[i] != b[j] or a[j] != b[i]:
+        return None
+    return (a[i], a[j]), i + 1
+
+
+def reused_ranks(sweep: SweepState) -> list[int]:
+    """The sweep's ranks that reused an earlier estimate, ascending."""
+    return [r for r in sorted(sweep.probes) if not sweep.probes[r].fresh]

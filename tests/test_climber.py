@@ -4,10 +4,12 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.climber import (
+    SCOPE_ALL_PAIRS,
+    SCOPE_FLANKING,
     Phase1Config,
     SweepProbe,
     SweepState,
@@ -28,7 +30,7 @@ from dca.harness import FIXTURE_TABLE1_2, TABLE_BRACKETS, TABLE_CONSTRAINTS
 from dca.perm import format_assignment, parse_assignment
 from dca.trace import RunContext
 
-from references import dump_trace
+from references import adjacent_transposition_diff, dump_trace, reused_ranks, significant_difference
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
@@ -76,7 +78,7 @@ class TestSweepBoundaries:
         assert sweep.element == 11
         assert sweep.stop_rank == 5
         assert sweep.fresh_ranks() == [2, 3, 4, 5]
-        assert sweep.reused_ranks() == [1]
+        assert reused_ranks(sweep) == [1]
         assert sweep.best_rank == 4
         assert format_mean(sweep.best_probe.estimate.mean) == "-3.89289"
 
@@ -90,13 +92,13 @@ class TestSweepBoundaries:
         sweep = replay_result[0].sweeps[2]
         assert sweep.element == 3
         assert sweep.fresh_ranks() == [3]
-        assert sweep.reused_ranks() == [1, 2]
+        assert reused_ranks(sweep) == [1, 2]
 
     def test_element_10_evaluates_one_new_test_only(self, replay_result):
         sweep = replay_result[0].sweeps[3]
         assert sweep.element == 10
         assert sweep.fresh_ranks() == [1]
-        assert sweep.reused_ranks() == [2, 3, 4]
+        assert reused_ranks(sweep) == [2, 3, 4]
         assert sweep.stop_rank == 4
         assert sweep.best_rank == 3  # stays put: the incumbent wins
 
@@ -104,7 +106,7 @@ class TestSweepBoundaries:
         sweep = replay_result[0].sweeps[4]
         assert sweep.element == 9
         assert sweep.fresh_ranks() == [1, 2, 3, 6]
-        assert sweep.reused_ranks() == [4, 5]
+        assert reused_ranks(sweep) == [4, 5]
         assert sweep.stop_rank == 6
         assert sweep.best_rank == 5  # incumbent position
 
@@ -282,6 +284,35 @@ class TestAllPairsScope:
     def test_scope_over_induces_relative_to_flanking(self, all_pairs_result):
         added = {d.pair() for d in all_pairs_result.decisions if d.induced}
         assert {(6, 2), (2, 4), (3, 8)} <= added  # not part of the printed set
+
+
+class TestNoiseGate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(3, 12).flatmap(
+            lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))
+        ),
+        st.sampled_from([SCOPE_FLANKING, SCOPE_ALL_PAIRS]),
+        st.sampled_from([0.5, 1.0, 3.0]),
+        st.sampled_from([None, 0.5, 2.0]),
+        st.integers(0, 2**16),
+    )
+    def test_each_decision_is_an_adjacent_swap_gated_by_its_two_rows(
+        self, start_target, scope, tau, sigma, seed
+    ):
+        # sigma None is the exact oracle: unit weights give exact ties, gap = threshold = 0.
+        start, target = start_target
+        landscape = unit_landscape(target, sigma=sigma or 0.0)
+        oracle = ExactOracle(landscape) if sigma is None else SyntheticOracle(landscape, seed=seed)
+        config = Phase1Config(n_games=20, n_games_baseline=40, tau=tau, induction_scope=scope)
+        run = RunContext()
+        result = run_phase1(tuple(start), CachingEvaluator(oracle), config, run=run)
+        rows = {r.test_id: r for r in run.records}
+        for c in result.decisions:
+            a, b = (rows[t] for t in c.tests)
+            diff = adjacent_transposition_diff(a.assignment, b.assignment)
+            assert diff is not None and set(diff[0]) == {c.before, c.after}
+            assert (c.outcome == NOT_INDUCED) == (not significant_difference(a, b, tau))
 
 
 class TestClimbingProperties:

@@ -45,6 +45,15 @@ def topological_orders_sample(g, k, seed, elements=None):
     return orders
 
 
+@st.composite
+def edge_streams(draw, max_n=40):
+    """(n, edges): a random stream of ordered pairs over elements 1..n, cycles and repeats included."""
+    n = draw(st.integers(2, max_n))
+    element = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    return n, pairs
+
+
 class TestTryAdd:
     def test_two_fresh_edges(self):
         g = ConstraintGraph()
@@ -96,6 +105,14 @@ class TestTryAdd:
         for order in topological_orders_sample(g, 5, seed=3):
             assert satisfies(g, order)
 
+    @given(edge_streams())
+    def test_no_stream_closes_a_cycle(self, stream):
+        _, pairs = stream
+        g = ConstraintGraph()
+        for a, b in pairs:
+            g.try_add(RankConstraint(a, b))
+        assert not any(g.reaches(c.after, c.before) for c in g.edges())
+
 
 class TestViolations:
     def test_phase2_winner_is_feasible(self, g12):
@@ -141,15 +158,6 @@ class TestViolations:
         assert len(extensions) == count_linear_extensions(g, elements)
         for p in permutations(elements):
             assert satisfies(g, p) == (g.violations(p) == 0) == (p in extensions)
-
-
-@st.composite
-def edge_streams(draw, max_n=40):
-    """(n, edges): a random stream of ordered pairs over elements 1..n, cycles and repeats included."""
-    n = draw(st.integers(2, max_n))
-    element = st.integers(1, n)
-    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]), max_size=3 * n))
-    return n, pairs
 
 
 class TestMoveDelta:

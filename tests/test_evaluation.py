@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 import statistics
 import sys
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from dca.errors import (
     ConfigError,
     ElementNotFoundError,
-    EmptyBatchError,
     OracleIOError,
     ReplayMissError,
 )
@@ -30,17 +30,15 @@ from dca.evaluation import (
     SubprocessOracle,
     SyntheticOracle,
     _stream_seed,
-    aggregate,
     decode_response,
     encode_request,
     format_mean,
     format_se,
-    significant_difference,
 )
 from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
 from dca.perm import parse_assignment, rank_of
 
-from references import fold, reference_fitness
+from references import aggregate, fold, reference_fitness, significant_difference
 
 # Pinned digests of the shipped table transcriptions; any drift fails loudly.
 FIXTURE_SHA256 = {
@@ -71,7 +69,7 @@ class TestAggregate:
         assert est == FitnessEstimate(mean=2.5, se=0.0, n_games=1)
 
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(ValueError):
             aggregate([])
 
     def test_calibration_to_the_baseline_error_magnitude(self):
@@ -378,13 +376,27 @@ class TestSubprocessOracle:
             oracle.close()
 
     def test_timeout_is_enforced(self):
-        sleeper = "import time\ntime.sleep(60)\n"
-        oracle = SubprocessOracle([sys.executable, "-c", sleeper], timeout=0.3)
+        # Hangs on one budget only; every answer names the child that gave it.
+        hangs_on_999 = (
+            "import json, os, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['games'] == 999:\n"
+            "        time.sleep(60)\n"
+            "    print(json.dumps({'mean': -float(os.getpid()), 'se': 0.05, 'n': 1000}))\n"
+            "    sys.stdout.flush()\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", hangs_on_999], timeout=2.0)
         try:
+            first = oracle.evaluate((2, 1), 10).mean
             started = time.perf_counter()
             with pytest.raises(OracleIOError, match="timed out"):
-                oracle.evaluate((2, 1), 10)
+                oracle.evaluate((2, 1), 999)
             assert time.perf_counter() - started < 5.0
+            # Reaped, not left a zombie: the next call gets a fresh child's answer.
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(-first), 0)
+            retry = oracle.evaluate((2, 1), 10).mean
+            assert retry != first
         finally:
             oracle.close()
 
@@ -473,6 +485,10 @@ class TestSubprocessOracle:
             ('{"mean": true, "se": 0.1, "n": 64}', "mean True is not a number"),
             ('{"mean": -2.0, "se": false, "n": 64}', "se False is not a number"),
             ('{"mean": "-2.0", "se": "0.1", "n": "64"}', "mean '-2.0' is not a number"),
+            ("[1, 2]", "not an object"),
+            ("null", "not an object"),
+            ('"ok"', "not an object"),
+            ("3", "not an object"),
         ],
     )
     def test_untrustworthy_responses_are_rejected(self, line, message):

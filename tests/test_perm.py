@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dca.errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
 from dca.perm import (
     Move,
-    adjacent_transposition_diff,
     as_assignment,
     enumerate_insertion_neighbors,
     format_assignment,
@@ -18,6 +17,8 @@ from dca.perm import (
     parse_assignment,
     rank_of,
 )
+
+from references import adjacent_transposition_diff
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 
