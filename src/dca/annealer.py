@@ -215,15 +215,30 @@ def run_phase2(
     order, from a stream independent of the proposer's, so a scripted replay
     leaves the acceptance draws unchanged. Worse-but-accepted candidates
     replace the current state but never the best.
+
+    With an oracle of more than one lane and an InsertionProposer, the
+    first candidate is sent alongside the re-evaluation, and each fresh
+    candidate alongside the next step's candidate should it be rejected:
+    the proposer's draws do not depend on the decision, so that candidate
+    is the one the next step proposes. On an acceptance the proposer's
+    state is restored and the next candidate drawn from the new state, so
+    the run is the sequential one, test for test.
     """
     config.validate()
     run = run if run is not None else RunContext()
     first_row = len(run.records)
+    n_games = config.n_games_hi
+    ahead = evaluator.oracle.lanes > 1 and isinstance(proposer, InsertionProposer)
+    candidate = None
+    if ahead:
+        evaluator.prefetch(start, n_games)
+        _, candidate = proposer.propose(start, graph)
+        evaluator.prefetch(candidate, n_games)
 
     # Mandatory high-precision re-evaluation of the incumbent at phase entry.
     # When the start was already traced (a continued run), the re-test keeps
     # its original test id, matching the printed tables.
-    current_est, fresh = evaluator.estimate(start, config.n_games_hi)
+    current_est, fresh = evaluator.estimate(start, n_games)
     run.add(2, start, current_est, run.ids.get(start), marker=MARKER_STAR, cached=not fresh, reeval=True)
     run.checkpoint()
 
@@ -232,8 +247,14 @@ def run_phase2(
 
     for k in range(config.steps):
         temperature = config.temperature(k)
-        _, candidate = proposer.propose(current, graph)
-        cand_est, fresh = evaluator.estimate(candidate, config.n_games_hi)
+        if candidate is None:
+            _, candidate = proposer.propose(current, graph)
+        spare = None
+        if ahead and k + 1 < config.steps and evaluator.prefetch(candidate, n_games):
+            saved = proposer.rng.bit_generator.state
+            _, spare = proposer.propose(current, graph)
+            evaluator.prefetch(spare, n_games)
+        cand_est, fresh = evaluator.estimate(candidate, n_games)
         delta = current_est.mean - cand_est.mean
         probability = acceptance_probability(current_est.mean, cand_est.mean, temperature)
         if delta <= 0:
@@ -257,6 +278,10 @@ def run_phase2(
 
         if accept:
             current, current_est = candidate, cand_est
+            if spare is not None:
+                proposer.rng.bit_generator.state = saved
+                spare = None
+        candidate = spare
 
     return Phase2Result(best=best, best_estimate=best_est, trace=run.records[first_row:])
 

@@ -105,9 +105,12 @@ def run_sweep(
     any other previously evaluated assignment is reused from the cache. The
     stop rule treats the element's current position as anchored left context:
     a dip right after it ends the sweep, while a dip at a rank with no
-    established rise to its left does not. A streamed run's probe text is
-    spliced from the baseline's without the element: the element goes in at
-    `cut[rank - 1]`, where the rank-th token starts, or last at rank n.
+    established rise to its left does not. Whether a stop is possible at a
+    rank is known before that rank is tested, so an oracle with more than
+    one lane gets the next rank sent alongside whenever no stop is possible.
+    A streamed run's probe text is spliced from the baseline's without the
+    element: the element goes in at `cut[rank - 1]`, where the rank-th token
+    starts, or last at rank n.
     """
     n = len(baseline)
     current_rank = rank_of(baseline, element)
@@ -122,7 +125,16 @@ def run_sweep(
         cut = list(accumulate((len(token) + 1 for token in rest.split(" ")), initial=0))
         name = format_assignment((element,))
 
+    ahead = evaluator.oracle.lanes > 1
     for rank in range(1, n + 1):
+        prev = rank - 1
+        stoppable = prev == current_rank or (
+            prev >= 2 and probes[prev - 1].estimate.mean < probes[prev].estimate.mean
+        )
+        if ahead and not stoppable:  # rank + 1 is tested whatever rank's mean: send both
+            for r in (rank, rank + 1):
+                if r != current_rank and r <= n:
+                    evaluator.prefetch(insertion_move(baseline, element, r), config.n_games)
         if rank == current_rank:
             x = baseline
             est, fresh = baseline_estimate, False
@@ -140,13 +152,9 @@ def run_sweep(
             test_id = run.ids.get(x, -1)
         probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
 
-        if rank >= 2 and probes[rank].estimate.mean < probes[rank - 1].estimate.mean:
-            prev = rank - 1
-            anchored = prev == current_rank
-            rising = prev >= 2 and probes[prev - 1].estimate.mean < probes[prev].estimate.mean
-            if anchored or rising:
-                stop_rank = rank
-                break
+        if stoppable and est.mean < probes[prev].estimate.mean:
+            stop_rank = rank
+            break
 
     return SweepState(element=element, probes=probes, stop_rank=stop_rank)
 
@@ -223,6 +231,11 @@ def run_phase1(
     graph = ConstraintGraph()
     run = run if run is not None else RunContext()
 
+    if evaluator.oracle.lanes > 1 and order and len(x0) > 1:
+        # The first sweep tests its first rank whatever the baseline's mean: send the two together.
+        first = order[0]
+        evaluator.prefetch(x0, config.n_games_baseline)
+        evaluator.prefetch(insertion_move(x0, first, 2 if x0[0] == first else 1), config.n_games)
     baseline_estimate, fresh = evaluator.estimate(x0, config.n_games_baseline)
     if fresh:
         run.add(1, x0, baseline_estimate)

@@ -13,9 +13,11 @@ import hashlib
 import json
 import math
 import operator
+import os
 import queue
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
@@ -211,10 +213,22 @@ def _stream_seed(seed: int, x: Assignment, n_games: int) -> int:
 
 
 class Oracle:
-    """Evaluation boundary: estimate the fitness of an assignment."""
+    """Evaluation boundary: estimate the fitness of an assignment.
+
+    `lanes` is how many requests the oracle can run at once; with one lane,
+    `prefetch` sends nothing. `restarts` counts evaluator processes reaped
+    after a failure.
+    """
+
+    lanes = 1
+    restarts = 0
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
         raise NotImplementedError
+
+    def prefetch(self, x: Assignment, n_games: int) -> bool:
+        """Start `evaluate(x, n_games)` on an idle lane without waiting; True if it was sent."""
+        return False
 
     def close(self) -> None:
         pass
@@ -292,6 +306,10 @@ class PoolOracle(Oracle):
         games = sum(est.n_games for est, _ in estimates)
         return FitnessEstimate(mean=mean, se=se, n_games=games)
 
+    @property
+    def restarts(self) -> int:
+        return sum(oracle.restarts for oracle, _ in self.members)
+
     def close(self) -> None:
         for oracle, _ in self.members:
             oracle.close()
@@ -340,100 +358,205 @@ class ReplayOracle(Oracle):
         return est
 
 
+class _Child:
+    """One evaluator process, its request in flight, and the daemon thread that queues its output lines."""
+
+    def __init__(self, process: subprocess.Popen, lines: "queue.SimpleQueue[tuple[_Child, str]]"):
+        self.process = process
+        self.request: Optional[tuple[Assignment, int]] = None
+        self.reader = threading.Thread(target=_pump_lines, args=(self, lines), daemon=True)
+        self.reader.start()
+
+
 class SubprocessOracle(Oracle):
-    """Delegate evaluation to a child process over line-delimited JSON.
+    """Delegate evaluation to a pool of child processes over line-delimited JSON.
 
     Request:  {"assignment":[...],"games":N,"seed":S}
     Response: {"mean":M,"se":E,"n":N}
-    Unknown response fields are ignored; missing ones are errors. One request
-    is in flight per child at a time. Each child gets one daemon thread that
-    queues its output lines; `evaluate` waits at most `timeout` seconds on
-    that queue.
+    Unknown response fields are ignored; missing ones are errors. Up to
+    `lanes` children run at once (`workers`: by default two, never more than
+    the CPU count), with one request in flight each. The first request spawns
+    the first child; `prefetch` spawns another only when every child is busy.
+    Each child gets one daemon thread that queues its output lines, tagged
+    with the child, on one queue shared by the pool. `evaluate` takes an
+    answer already back or waits at most `timeout` seconds for it; answers
+    that come back meanwhile are kept until asked for. A child that dies or
+    goes silent is reaped and counted in `restarts`; its failure is an
+    OracleIOError only for an `evaluate` that needs its answer.
     """
 
-    def __init__(self, cmd: Sequence[str], timeout: float = 30.0, seed: int = 0):
+    def __init__(
+        self, cmd: Sequence[str], timeout: float = 30.0, seed: int = 0, workers: Optional[int] = None
+    ):
         if not (isinstance(cmd, (list, tuple)) and cmd and all(isinstance(a, str) for a in cmd)):
             raise ConfigError(f"subprocess oracle needs a non-empty list of strings as cmd, got {cmd!r}")
         if not 0 < timeout <= threading.TIMEOUT_MAX:  # the longest wait a queue or a thread takes
             raise ConfigError(
                 f"subprocess timeout must be finite and positive, <= {threading.TIMEOUT_MAX}, got {timeout}"
             )
+        cpus = os.cpu_count() or 1
+        workers = min(2, cpus) if workers is None else workers
+        if workers < 1:
+            raise ConfigError(f"subprocess workers must be >= 1, got {workers}")
         self.cmd = list(cmd)
         self.timeout = timeout
         self.seed = seed
-        self._child: Optional[subprocess.Popen] = None
-        self._reader: Optional[threading.Thread] = None
-        self._lines: Optional["queue.SimpleQueue[str]"] = None
-        self._lock = threading.Lock()
-
-    def _ensure_child(self) -> subprocess.Popen:
-        """The live child, spawned with one daemon thread feeding its lines to a queue."""
-        if self._child is None or self._child.poll() is not None:
-            self.close()  # reap a dead child and close its pipes before replacing it
-            try:
-                self._child = subprocess.Popen(
-                    self.cmd,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
-                )
-            except OSError as err:  # a missing or non-executable program, say
-                raise OracleIOError(f"cannot start evaluator {self.cmd}: {err}") from err
-            self._lines = queue.SimpleQueue()
-            self._reader = threading.Thread(
-                target=_pump_lines, args=(self._child.stdout, self._lines), daemon=True
-            )
-            self._reader.start()
-        return self._child
+        self.lanes = min(workers, cpus)
+        self.restarts = 0
+        self._children: list[_Child] = []
+        self._lines: "queue.SimpleQueue[tuple[_Child, str]]" = queue.SimpleQueue()
+        self._answers: dict[tuple[Assignment, int], str] = {}
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
-        request = encode_request(x, n_games, _stream_seed(self.seed, x, n_games) % (1 << 32))
-        with self._lock:
-            child = self._ensure_child()
-            try:
-                child.stdin.write(request + "\n")
-                child.stdin.flush()
-            except (BrokenPipeError, OSError) as err:
-                raise OracleIOError(f"evaluator pipe failed: {err}") from err
-            try:
-                line = self._lines.get(timeout=self.timeout)
-            except queue.Empty:
-                child.kill()
-                self.close()  # reap it now: a killed child still polls as running for a while
-                raise OracleIOError(f"evaluator timed out after {self.timeout}s") from None
+        key = (x, n_games)
+        if key not in self._answers:
+            child = next((c for c in self._children if c.request == key), None)
+            if child is None:
+                child = self._idle_child(wait=True)
+                self._send(child, key)
+            self._await(child)
+        line = self._answers.pop(key)
         if not line:
             raise OracleIOError("evaluator closed its output without responding", payload=line)
         return decode_response(line)
 
-    def close(self) -> None:
-        """Close the child's pipes and reap it; a child still running after `timeout` is killed."""
-        child, self._child = self._child, None
-        if child is None:
-            return
-        with contextlib.suppress(OSError):  # a dead child's stdin may hold an unflushable request
-            child.stdin.close()
+    def prefetch(self, x: Assignment, n_games: int) -> bool:
+        """Send the request to an idle child without waiting; False when none is free or sending failed.
+
+        A request that fails is left for `evaluate` to send again or report.
+        """
+        key = (x, n_games)
+        if key in self._answers or any(c.request == key for c in self._children):
+            return True
         try:
-            child.wait(timeout=self.timeout)
+            child = self._idle_child(wait=False)
+            return child is not None and self._send(child, key)
+        except OracleIOError:
+            return False
+
+    def _idle_child(self, wait: bool) -> Optional[_Child]:
+        """A live child with no request in flight, spawned while the pool has room.
+
+        When every child is busy, `wait` waits for the first child's answer.
+        """
+        self._collect()
+        while True:
+            idle = next((c for c in self._children if c.request is None), None)
+            if idle is not None and idle.process.poll() is not None:
+                self._drop(idle)  # it died between requests
+            elif idle is not None:
+                return idle
+            elif len(self._children) < self.lanes:
+                return self._spawn()
+            elif not wait:
+                return None
+            else:
+                self._await(self._children[0])
+
+    def _spawn(self) -> _Child:
+        try:
+            process = subprocess.Popen(
+                self.cmd,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as err:  # a missing or non-executable program, say
+            raise OracleIOError(f"cannot start evaluator {self.cmd}: {err}") from err
+        child = _Child(process, self._lines)
+        self._children.append(child)
+        return child
+
+    def _send(self, child: _Child, key: tuple[Assignment, int]) -> bool:
+        x, n_games = key
+        request = encode_request(x, n_games, _stream_seed(self.seed, x, n_games) % (1 << 32))
+        try:
+            child.process.stdin.write(request + "\n")
+            child.process.stdin.flush()
+        except OSError as err:  # a broken pipe, say
+            self._drop(child)
+            raise OracleIOError(f"evaluator pipe failed: {err}") from err
+        child.request = key
+        return True
+
+    def _await(self, child: _Child) -> None:
+        """Wait for `child`'s answer, filing other children's on the way; drop it if silent for `timeout`."""
+        deadline = time.monotonic() + self.timeout
+        while child.request is not None:
+            try:
+                self._take(*self._lines.get(timeout=max(0.0, deadline - time.monotonic())))
+            except queue.Empty:
+                self._drop(child)
+                raise OracleIOError(f"evaluator timed out after {self.timeout}s") from None
+
+    def _collect(self) -> None:
+        """File every output line already queued, without waiting."""
+        with contextlib.suppress(queue.Empty):
+            while True:
+                self._take(*self._lines.get_nowait())
+
+    def _take(self, child: _Child, line: str) -> None:
+        """File `line` as the answer to `child`'s request; "" (end of output) means the child is gone."""
+        if child not in self._children:
+            return  # a dropped child's leftover
+        if child.request is not None:
+            self._answers[child.request], child.request = line, None
+        if not line:
+            self._drop(child)
+
+    def _drop(self, child: _Child) -> None:
+        """Kill and reap a child that died, failed or went silent, and count the restart."""
+        self._children.remove(child)
+        self.restarts += 1
+        child.request = None
+        child.process.kill()
+        _reap([child], self.timeout)
+
+    def close(self) -> None:
+        """Reap every child: an idle one gets EOF and `timeout` to exit, a busy one is killed at once.
+
+        A busy child at close holds a request sent ahead that nothing asked
+        for, so its answer is not waited for.
+        """
+        self._collect()  # count the failures already back
+        children, self._children = self._children, []
+        _reap(children, self.timeout)
+
+
+def _reap(children: list[_Child], timeout: float) -> None:
+    """Close the children's pipes and wait for them to exit, all at once.
+
+    A child with a request in flight is killed at once; any other gets EOF
+    and is killed if it still runs after `timeout`.
+    """
+    for child in children:
+        if child.request is not None:
+            child.process.kill()
+        with contextlib.suppress(OSError):  # a dead child's stdin may hold an unflushable request
+            child.process.stdin.close()
+    for child in children:
+        try:
+            child.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
+            child.process.kill()
+            child.process.wait()
         # The reaped child's end of the pipe is closed, so its reader is at EOF.
-        self._reader.join(self.timeout)
-        child.stdout.close()
+        child.reader.join(timeout)
+        child.process.stdout.close()
 
 
-def _pump_lines(stream, lines: "queue.SimpleQueue[str]") -> None:
-    """Queue every line of `stream`, then "" at EOF; one such thread runs per child.
+def _pump_lines(child: _Child, lines: "queue.SimpleQueue[tuple[_Child, str]]") -> None:
+    """Queue every line of `child`'s output, then "" at EOF; one such thread runs per child.
 
     The "" is queued even when reading fails (say, on undecodable output), so
     the waiting `evaluate` reports a closed stream at once instead of a timeout.
     """
     try:
-        for line in stream:
-            lines.put(line)
+        for line in child.process.stdout:
+            lines.put((child, line))
     finally:
-        lines.put("")
+        lines.put((child, ""))
 
 
 def encode_request(x: Assignment, n_games: int, seed: int) -> str:
@@ -469,12 +592,15 @@ class CachingEvaluator:
     """Per-run estimate cache keyed by (assignment, game tier).
 
     Assignments already checked are never re-sampled within a run. A run
-    estimates from one thread, so the cache takes no lock.
+    estimates from one thread, so the cache takes no lock. A request sent
+    ahead by `prefetch` becomes a test only when `estimate` asks for it;
+    `usage` counts the ones never asked for.
     """
 
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
         self._cache: dict[tuple[Assignment, int], FitnessEstimate] = {}
+        self._ahead: set[tuple[Assignment, int]] = set()  # sent by `prefetch`, not yet estimated
         self.games_used = 0
         self.fresh_evaluations = 0
 
@@ -484,7 +610,29 @@ class CachingEvaluator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit, False
+        if self._ahead:
+            self._ahead.discard(key)
         est = self._cache[key] = self.oracle.evaluate(x, n_games)
         self.games_used += est.n_games
         self.fresh_evaluations += 1
         return est, True
+
+    def prefetch(self, x: Assignment, n_games: int) -> bool:
+        """Send (x, n_games) to an idle oracle lane unless it is cached; False on a cache hit."""
+        key = (x, n_games)
+        if key in self._cache:
+            return False
+        if key not in self._ahead and self.oracle.prefetch(x, n_games):
+            self._ahead.add(key)
+        return True
+
+    def usage(self) -> dict[str, int]:
+        """What the oracle was sent: the fresh tests plus the requests sent ahead and never used."""
+        unused_games = sum(n for _, n in self._ahead)
+        return {
+            "requests": self.fresh_evaluations + len(self._ahead),
+            "games": self.games_used + unused_games,
+            "unused_requests": len(self._ahead),
+            "unused_games": unused_games,
+            "restarts": self.oracle.restarts,
+        }

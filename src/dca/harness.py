@@ -117,9 +117,10 @@ def build_oracle(spec: dict, seed: int) -> Oracle:
             pool.append((oracle, weight))
         return PoolOracle(pool)
     if kind == "subprocess":
-        check_keys(spec, {"kind", "cmd", "timeout"}, "subprocess oracle spec")
+        check_keys(spec, {"kind", "cmd", "timeout", "workers"}, "subprocess oracle spec")
         cmd = required(spec, "cmd", "subprocess oracle spec")
-        return SubprocessOracle(cmd, seed=seed, **read(spec, {"timeout": ("timeout", real)}, "subprocess "))
+        keys = {"timeout": ("timeout", real), "workers": ("workers", integer)}
+        return SubprocessOracle(cmd, seed=seed, **read(spec, keys, "subprocess "))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -204,6 +205,7 @@ class ExperimentSummary:
     phase2_tests: int
     phase2_games: int
     wall_time_s: float
+    oracle: dict[str, int]
 
     @property
     def best(self) -> Assignment:
@@ -235,6 +237,7 @@ class ExperimentSummary:
                 "tests": self.phase1_tests + self.phase2_tests,
                 "games": self.phase1_games + self.phase2_games,
             },
+            "oracle": self.oracle,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -317,10 +320,18 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
         phase2_tests=parts.evaluator2.fresh_evaluations - tests_before,
         phase2_games=parts.evaluator2.games_used - games_before,
         wall_time_s=time.perf_counter() - started,
+        oracle=oracle_usage(parts),
     )
     if out_dir is not None:
         persist_summary(summary, out_dir)
     return summary
+
+
+def oracle_usage(parts: RunParts) -> dict[str, int]:
+    """What a finished run's oracles were sent, requests sent ahead and never used included."""
+    shared = parts.evaluator2 is parts.evaluator1
+    usages = [e.usage() for e in ([parts.evaluator1] if shared else [parts.evaluator1, parts.evaluator2])]
+    return {key: sum(u[key] for u in usages) for key in usages[0]}
 
 
 def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:

@@ -396,6 +396,18 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
             "subprocess timeout True is not a number", id="timeout-bool",
         ),
         pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "workers": True},
+            "subprocess workers True is not an integer", id="workers-bool",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "workers": 1.5},
+            "subprocess workers 1.5 is not an integer", id="workers-fraction",
+        ),
+        pytest.param(
+            None, "oracle", {"kind": "subprocess", "cmd": ["prog"], "workers": 0},
+            "subprocess workers must be >= 1, got 0", id="workers-zero",
+        ),
+        pytest.param(
             "phase1", "element_order", [True, 2], "element_order must be a list of elements",
             id="element-order-bool",
         ),

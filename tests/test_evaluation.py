@@ -446,21 +446,84 @@ class TestSubprocessOracle:
         oracle = SubprocessOracle([sys.executable, "-c", one_shot], timeout=10)
         try:
             oracle.evaluate((1, 2), 5)
-            first = oracle._child
+            [first] = [child.process for child in oracle._children]
             first.wait(timeout=10)
             assert oracle.evaluate((2, 1), 5).mean == -1.0
-            assert oracle._child is not first
+            [second] = [child.process for child in oracle._children]
+            assert second is not first
             assert first.stdin.closed and first.stdout.closed
         finally:
             oracle.close()
 
     def test_close_kills_a_child_that_ignores_eof(self):
         oracle = SubprocessOracle([sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5)
-        child = oracle._ensure_child()
+        child = oracle._spawn().process
         started = time.perf_counter()
         oracle.close()
         assert time.perf_counter() - started < 5.0
         assert child.returncode is not None
+
+    def test_workers_default_to_two_and_are_capped_at_the_cpu_count(self):
+        cmd = [sys.executable, "-c", "pass"]  # never started: children are spawned on demand
+        cpus = os.cpu_count()
+        assert SubprocessOracle(cmd).lanes == min(2, cpus)
+        assert SubprocessOracle(cmd, workers=1).lanes == 1
+        assert SubprocessOracle(cmd, workers=cpus + 3).lanes == cpus
+        with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+            SubprocessOracle(cmd, workers=0)
+
+    def test_an_answer_sent_ahead_is_taken_by_evaluate(self):
+        # Each answer names its child and counts the requests that child has read.
+        counting = (
+            "import json, os, sys, time\n"
+            "for i, line in enumerate(sys.stdin, start=1):\n"
+            "    time.sleep(0.3)\n"
+            "    print(json.dumps({'mean': -float(os.getpid()), 'se': float(i), 'n': 5}), flush=True)\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", counting], timeout=10, workers=2)
+        try:
+            assert oracle.prefetch((1, 2), 5) and oracle.prefetch((2, 1), 5)
+            assert oracle.prefetch((1, 2), 5)  # already in flight: not sent again
+            assert not oracle.prefetch((1, 2), 6)  # both children busy
+            assert len(oracle._children) == 2
+            a, b = oracle.evaluate((2, 1), 5), oracle.evaluate((1, 2), 5)
+            assert a.mean != b.mean and a.se == b.se == 1.0
+            assert oracle.evaluate((1, 2), 6).se == 2.0
+            assert len(oracle._children) == 2 and oracle.restarts == 0
+        finally:
+            oracle.close()
+
+    def test_a_failed_request_sent_ahead_is_counted_and_raises_only_when_used(self):
+        one_answer = (
+            "import sys, json\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'mean': -1.0, 'se': 0.1, 'n': 5}), flush=True)\n"
+            "sys.stdin.readline()\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", one_answer], timeout=10, workers=2)
+        try:
+            oracle.evaluate((1, 2, 3), 5)
+            [first] = [child.process for child in oracle._children]
+            assert oracle.prefetch((2, 1, 3), 5)  # the first child reads it and exits
+            first.wait(timeout=10)
+            assert oracle.evaluate((3, 2, 1), 5).mean == -1.0  # answered by a second child
+            assert oracle.restarts == 1
+            assert first.stdin.closed and first.stdout.closed
+            with pytest.raises(OracleIOError, match="closed its output"):
+                oracle.evaluate((2, 1, 3), 5)
+        finally:
+            oracle.close()
+
+    def test_close_kills_a_child_busy_with_a_request_nobody_asked_for(self):
+        busy = "import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n"
+        oracle = SubprocessOracle([sys.executable, "-c", busy], timeout=10, workers=1)
+        assert oracle.prefetch((1, 2), 5)
+        [child] = [c.process for c in oracle._children]
+        started = time.perf_counter()
+        oracle.close()
+        assert time.perf_counter() - started < 5.0
+        assert child.returncode is not None and not oracle._children
+        assert oracle.restarts == 0
 
     def test_request_golden_serialization(self):
         line = encode_request((2, 1), 10, 7)
