@@ -110,7 +110,8 @@ def run_sweep(
     one lane gets the next rank sent alongside whenever no stop is possible.
     A streamed run's probe text is spliced from the baseline's without the
     element: the element goes in at `cut[rank - 1]`, where the rank-th token
-    starts, or last at rank n.
+    starts, or last at rank n. An exact oracle scores the whole sweep in one
+    `sweep` call, and a fresh probe takes its mean from that table.
     """
     n = len(baseline)
     current_rank = rank_of(baseline, element)
@@ -125,6 +126,7 @@ def run_sweep(
         cut = list(accumulate((len(token) + 1 for token in rest.split(" ")), initial=0))
         name = format_assignment((element,))
 
+    table = evaluator.oracle.sweep(baseline, element)
     ahead = evaluator.oracle.lanes > 1
     for rank in range(1, n + 1):
         prev = rank - 1
@@ -140,7 +142,8 @@ def run_sweep(
             est, fresh = baseline_estimate, False
         else:
             x = insertion_move(baseline, element, rank)
-            est, fresh = evaluator.estimate(x, config.n_games)
+            exact = None if table is None else table[rank - 1]
+            est, fresh = evaluator.estimate(x, config.n_games, exact)
         if fresh:
             if run.sink is not None:
                 at = cut[rank - 1]

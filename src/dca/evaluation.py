@@ -33,7 +33,7 @@ from .errors import (
     OracleIOError,
     ReplayMissError,
 )
-from .perm import Assignment, as_assignment, format_assignment, parse_assignment
+from .perm import Assignment, as_assignment, format_assignment, parse_assignment, rank_of
 
 REPLAY_HEADER = "# dca-replay v1"
 
@@ -129,12 +129,11 @@ class HiddenTargetLandscape:
     def true_fitness(self, x: Assignment) -> float:
         """The weighted displacement sum of one assignment; see `scores`.
 
-        About 15 us a probe in a climb-exact run (n=75), against 19-21 us
-        for the list of products over (element, rank, weight) terms it
-        replaces, and 8 against 10 us at n=40 by timeit (shared 2-vCPU Xeon
-        VM). At n=9 it is the slower, 6.5 against 4 us.
+        About 4-9 us a call at n=9 to 75 (timeit on a shared 2-vCPU Xeon
+        VM). The synthetic oracle calls it once a test; an exact oracle's
+        phase-1 probes take their values from `sweep` instead.
         """
-        total = -float(np.add.accumulate(self._terms(x, 1, len(x)))[-1])
+        total = float(self._totals(self._ranks(x, 1, len(x))))
         if total != total:  # NaN: a rank left unfilled, or inf - inf
             self._check_elements(x)
         return total
@@ -153,30 +152,56 @@ class HiddenTargetLandscape:
 
         A batch costs the same dozen numpy calls as one row: about 1 us a
         row in the 4096-row batches of `brute_force_optimum` at n=9, where
-        `true_fitness` takes 6.5 us.
+        `true_fitness` takes 6.5 us. `sweep` scores the rows of one phase-1
+        sweep with the same fold.
         """
         m, k = len(rows), len(rows[0])
-        terms = self._terms(chain.from_iterable(rows), m, k).reshape(m, -1)
-        totals = (-np.add.accumulate(terms, axis=1)[:, -1]).tolist()
+        totals = self._totals(self._ranks(chain.from_iterable(rows), m, k).reshape(m, -1)).tolist()
         if math.isnan(sum(totals)):  # a rank left unfilled, or inf - inf
             for x in rows:
                 self._check_elements(x)
         return totals
 
-    def _terms(self, elements, m: int, k: int) -> np.ndarray:
-        """The terms of `m` rows of `k` elements each, one row of n + 1 columns after another."""
+    def sweep(self, baseline: Assignment, element: int) -> Optional[list[float]]:
+        """The true fitness of `baseline` with `element` moved to each rank 1..k, or None.
+
+        Row r - 1 of one k x (n + 1) rank matrix holds `element` at rank r and
+        the rest shifted by one at and past r, scored by the fold of `scores`:
+        entry r - 1 is `true_fitness(insertion_move(baseline, element, r))`
+        bit for bit. A NaN total (a missing target element, or inf - inf)
+        gives None, for the caller to score each probe alone. About 80 us at
+        k=75, against 12 us a row for `insertion_move` and `true_fitness`
+        (timeit on a shared 2-vCPU Xeon VM).
+        """
+        k = len(baseline)
+        own = rank_of(baseline, element) - 1
+        at = np.fromiter(map(self._slot.get, baseline, repeat(0)), np.intp, k)
+        rows = np.arange(k)
+        rest = np.arange(1.0, k)  # the other elements' ranks in the rest
+        ranks = np.tile(self._blank, (k, 1))
+        ranks[rows[:, None], np.delete(at, own)] = rest + (rest > rows[:, None])
+        ranks[rows, at[own]] = rows + 1.0
+        totals = self._totals(ranks)
+        return None if np.isnan(totals).any() else totals.tolist()
+
+    def _ranks(self, elements, m: int, k: int) -> np.ndarray:
+        """The ranks of `m` rows of `k` elements each, one row of n + 1 columns after another."""
         width = self._w.size
         at = np.fromiter(map(self._slot.get, elements, repeat(0)), np.intp, m * k)
         positions = self._i[1:] if k == width - 1 else np.arange(1.0, k + 1)
-        ranks, i, w = self._blank.copy(), self._i, self._w
+        ranks = self._blank.copy()
         if m > 1:  # row j's columns start at j * width
             at += np.repeat(np.arange(0, m * width, width), k)
-            positions, ranks, i, w = (np.tile(a, m) for a in (positions, ranks, i, w))
+            positions, ranks = np.tile(positions, m), np.tile(ranks, m)
         ranks[at] = positions
-        ranks -= i
-        np.abs(ranks, out=ranks)
-        ranks *= w
         return ranks
+
+    def _totals(self, ranks: np.ndarray) -> np.ndarray:
+        """Each row's score: the negated fold from column 0 of w * |rank - i|, in place."""
+        ranks -= self._i
+        np.abs(ranks, out=ranks)
+        ranks *= self._w
+        return -np.add.accumulate(ranks, axis=-1)[..., -1]
 
     def _check_elements(self, x: Assignment) -> None:
         present = set(x)
@@ -230,6 +255,13 @@ class Oracle:
         """Start `evaluate(x, n_games)` on an idle lane without waiting; True if it was sent."""
         return False
 
+    def sweep(self, baseline: Assignment, element: int) -> Optional[list[float]]:
+        """Exact means (se 0, one game) of `baseline` with `element` at each rank 1..n, or None.
+
+        None, the default, leaves each probe of a phase-1 sweep to `evaluate`.
+        """
+        return None
+
     def close(self) -> None:
         pass
 
@@ -242,6 +274,9 @@ class ExactOracle(Oracle):
 
     def evaluate(self, x: Assignment, n_games: int = 1) -> FitnessEstimate:
         return FitnessEstimate(mean=self.landscape.true_fitness(x), se=0.0, n_games=1)
+
+    def sweep(self, baseline: Assignment, element: int) -> Optional[list[float]]:
+        return self.landscape.sweep(baseline, element)
 
 
 class SyntheticOracle(Oracle):
@@ -604,15 +639,23 @@ class CachingEvaluator:
         self.games_used = 0
         self.fresh_evaluations = 0
 
-    def estimate(self, x: Assignment, n_games: int) -> tuple[FitnessEstimate, bool]:
-        """Return (estimate, fresh); fresh is False on a cache hit."""
+    def estimate(
+        self, x: Assignment, n_games: int, exact: Optional[float] = None
+    ) -> tuple[FitnessEstimate, bool]:
+        """Return (estimate, fresh); fresh is False on a cache hit.
+
+        `exact`, x's mean from the oracle's `sweep` table, stands in for
+        `evaluate` on a miss.
+        """
         key = (x, n_games)
         hit = self._cache.get(key)
         if hit is not None:
             return hit, False
         if self._ahead:
             self._ahead.discard(key)
-        est = self._cache[key] = self.oracle.evaluate(x, n_games)
+        est = self._cache[key] = (
+            self.oracle.evaluate(x, n_games) if exact is None else FitnessEstimate(exact, 0.0, 1)
+        )
         self.games_used += est.n_games
         self.fresh_evaluations += 1
         return est, True

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.errors import (
@@ -36,7 +36,7 @@ from dca.evaluation import (
     format_se,
 )
 from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
-from dca.perm import parse_assignment, rank_of
+from dca.perm import insertion_move, parse_assignment, rank_of
 
 from references import aggregate, fold, reference_fitness, significant_difference
 
@@ -687,3 +687,65 @@ class TestScores:
         landscape = HiddenTargetLandscape(target=(1, 2, 3), weights={1: 1e308, 2: 1.0, 3: -1e308})
         assert math.isnan(landscape.true_fitness((3, 2, 1)))
         assert math.isnan(reference_fitness(landscape, (3, 2, 1)))
+
+
+# Zero, fractional and overflowing weights: 1e308 times a displacement of two is inf.
+sweep_weights_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 0.3, 1e308, -1e308]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def swept_landscapes(draw):
+    """A landscape of 1..80 elements weighted by a scalar, a list or a map, and a baseline.
+
+    The baseline holds the target's elements and up to three ids outside it.
+    """
+    n = draw(st.integers(1, 80), label="n")
+    target = tuple(draw(st.permutations(range(1, n + 1))))
+    form = draw(st.sampled_from(["scalar", "list", "map"]), label="weights as")
+    raw = draw(sweep_weights_st if form == "scalar" else st.lists(sweep_weights_st, min_size=n, max_size=n))
+    if n == 1:  # from_config, through as_assignment, refuses a one-element target
+        landscape = HiddenTargetLandscape(target, {1: raw if form == "scalar" else raw[0]})
+    else:
+        if form == "map":
+            raw = {str(e): w for e, w in zip(target, raw)}
+        landscape = HiddenTargetLandscape.from_config({"target": list(target), "weights": raw})
+    extra = draw(st.lists(st.integers(n + 1, 10**9), max_size=3, unique=True), label="outside the target")
+    return landscape, tuple(draw(st.permutations(target + tuple(extra))))
+
+
+def probe_scores(landscape, baseline, element):
+    return [landscape.true_fitness(insertion_move(baseline, element, r)) for r in range(1, len(baseline) + 1)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+class TestSweep:
+    @settings(max_examples=40, deadline=None)  # every element of rows up to 83 long: about 3 s
+    @given(swept_landscapes())
+    def test_every_rank_equals_its_single_row_bit_for_bit(self, case):
+        landscape, baseline = case
+        for element in baseline:
+            table = landscape.sweep(baseline, element)
+            expected = [float.hex(v) for v in probe_scores(landscape, baseline, element)]
+            if table is None:  # inf - inf somewhere: each probe is scored alone
+                assert "nan" in expected
+            else:
+                assert [float.hex(v) for v in table] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(swept_landscapes(), st.data())
+    def test_a_missing_target_element_gives_none(self, case, data):
+        landscape, baseline = case
+        drop = data.draw(st.sampled_from(landscape.target), label="dropped")
+        baseline = tuple(10**9 + 1 if e == drop else e for e in baseline)
+        for element in baseline:
+            assert landscape.sweep(baseline, element) is None
+        with pytest.raises(ElementNotFoundError, match=f"^element {drop} not in"):
+            landscape.true_fitness(baseline)
+
+    def test_minus_zero_at_the_target_rank(self):
+        landscape = unit_landscape((1, 2, 3))
+        table = landscape.sweep((2, 1, 3), 2)
+        assert [float.hex(v) for v in table] == [float.hex(v) for v in (-2.0, -0.0, -2.0)]
