@@ -108,21 +108,26 @@ def run_sweep(
     established rise to its left does not. Whether a stop is possible at a
     rank is known before that rank is tested, so an oracle with more than
     one lane gets the next rank sent alongside whenever no stop is possible.
-    A streamed run's probe text is spliced from the baseline's without the
-    element: the element goes in at `cut[rank - 1]`, where the rank-th token
-    starts, or last at rank n. An exact oracle scores the whole sweep in one
-    `sweep` call, and a fresh probe takes its mean from that table.
+    Each probe is `others[:rank - 1] + (element,) + others[rank - 1:]`, with
+    `others` the baseline without the element: `insertion_move`'s tuple
+    without its index scan. A streamed run's probe text is spliced the same
+    way from the text of `others`: the element goes in at `cut[rank - 1]`,
+    where the rank-th token starts, or last at rank n.
+    An exact oracle scores the whole sweep in one `sweep` call, and a fresh
+    probe takes its mean from that table.
     """
     n = len(baseline)
     current_rank = rank_of(baseline, element)
+    others, moved = baseline[: current_rank - 1] + baseline[current_rank:], (element,)
     probes: dict[int, SweepProbe] = {}
     stop_rank: Optional[int] = None
     # The incumbent's mean is the best traced so far; a fresh probe above
     # every earlier one is starred.
     best_mean = baseline_estimate.mean
+    before = last = 0.0  # the means at ranks rank - 2 and rank - 1, read only once tested
     text = None
     if run.sink is not None:
-        rest = format_assignment(baseline[: current_rank - 1] + baseline[current_rank:])
+        rest = format_assignment(others)
         cut = list(accumulate((len(token) + 1 for token in rest.split(" ")), initial=0))
         name = format_assignment((element,))
 
@@ -130,34 +135,34 @@ def run_sweep(
     ahead = evaluator.oracle.lanes > 1
     for rank in range(1, n + 1):
         prev = rank - 1
-        stoppable = prev == current_rank or (
-            prev >= 2 and probes[prev - 1].estimate.mean < probes[prev].estimate.mean
-        )
+        stoppable = prev == current_rank or (prev >= 2 and before < last)
         if ahead and not stoppable:  # rank + 1 is tested whatever rank's mean: send both
             for r in (rank, rank + 1):
                 if r != current_rank and r <= n:
-                    evaluator.prefetch(insertion_move(baseline, element, r), config.n_games)
+                    evaluator.prefetch(others[: r - 1] + moved + others[r - 1 :], config.n_games)
         if rank == current_rank:
             x = baseline
             est, fresh = baseline_estimate, False
         else:
-            x = insertion_move(baseline, element, rank)
-            exact = None if table is None else table[rank - 1]
+            x = others[:prev] + moved + others[prev:]
+            exact = None if table is None else table[prev]
             est, fresh = evaluator.estimate(x, config.n_games, exact)
         if fresh:
             if run.sink is not None:
-                at = cut[rank - 1]
+                at = cut[prev]
                 text = f"{rest} {name}" if rank == n else f"{rest[:at]}{name} {rest[at:]}"
-            marker = MARKER_STAR if est.mean > best_mean else MARKER_NONE
-            test_id = run.add(1, x, est, marker=marker, text=text)
-            best_mean = max(best_mean, est.mean)
+            star = est.mean > best_mean
+            test_id = run.add(1, x, est, marker=MARKER_STAR if star else MARKER_NONE, text=text)
+            if star:
+                best_mean = est.mean
         else:
             test_id = run.ids.get(x, -1)
         probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
 
-        if stoppable and est.mean < probes[prev].estimate.mean:
+        if stoppable and est.mean < last:
             stop_rank = rank
             break
+        before, last = last, est.mean
 
     return SweepState(element=element, probes=probes, stop_rank=stop_rank)
 

@@ -27,7 +27,7 @@ from dca.evaluation import (
     format_mean,
 )
 from dca.harness import FIXTURE_TABLE1_2, TABLE_BRACKETS, TABLE_CONSTRAINTS
-from dca.perm import format_assignment, parse_assignment
+from dca.perm import format_assignment, insertion_move, parse_assignment
 from dca.trace import RunContext
 
 from references import adjacent_transposition_diff, dump_trace, reused_ranks, significant_difference
@@ -313,6 +313,53 @@ class TestNoiseGate:
             diff = adjacent_transposition_diff(a.assignment, b.assignment)
             assert diff is not None and set(diff[0]) == {c.before, c.after}
             assert (c.outcome == NOT_INDUCED) == (not significant_difference(a, b, tau))
+
+
+class TwoLaneOracle(ExactOracle):
+    """An exact oracle with two lanes and no sweep table: records each probe tested and sent ahead."""
+
+    lanes = 2
+
+    def __init__(self, landscape):
+        super().__init__(landscape)
+        self.evaluated, self.sent = [], []
+
+    def evaluate(self, x, n_games=1):
+        self.evaluated.append((x, n_games))
+        return super().evaluate(x, n_games)
+
+    def prefetch(self, x, n_games):
+        self.sent.append((x, n_games))
+        return True
+
+    def sweep(self, baseline, element):
+        return None
+
+
+class TestSplicedProbes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_probe_is_the_insertion_move(self, data):
+        n = data.draw(st.integers(2, 80), label="n")
+        ids = data.draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n, unique=True), label="ids")
+        target = tuple(data.draw(st.permutations(ids), label="target"))
+        where = data.draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)), label="position")
+        element = ids[where]
+        weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n), label="weights")
+        scope = data.draw(st.sampled_from([SCOPE_FLANKING, SCOPE_ALL_PAIRS]), label="scope")
+        oracle = TwoLaneOracle(HiddenTargetLandscape(target, dict(zip(target, weights))))
+        baseline = tuple(ids)
+        config = Phase1Config(element_order=[element], induction_scope=scope)
+        sweep = run_phase1(baseline, CachingEvaluator(oracle), config).sweeps[0]
+        for rank, probe in sweep.probes.items():
+            assert probe.assignment == insertion_move(baseline, element, rank)
+        probes = [sweep.probes[r].assignment for r in sweep.fresh_ranks()]
+        assert [x for x, _ in oracle.evaluated] == [baseline, *probes]
+        # A single sweep sends ahead only what it then tests: the baseline, the first probe, and
+        # the probes at ranks the stop rule has already made certain.
+        assert oracle.sent and set(oracle.sent) <= set(oracle.evaluated)
+        for x, _ in oracle.sent:
+            assert x == insertion_move(baseline, element, x.index(element) + 1)
 
 
 class TestClimbingProperties:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -35,7 +36,7 @@ from dca.evaluation import (
     format_mean,
     format_se,
 )
-from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3
+from dca.harness import FIXTURE_TABLE1_2, FIXTURE_TABLE3, RunConfig, run_experiment
 from dca.perm import insertion_move, parse_assignment, rank_of
 
 from references import aggregate, fold, reference_fitness, significant_difference
@@ -570,10 +571,70 @@ class TestCachingEvaluator:
         first, fresh1 = evaluator.estimate((2, 1, 3), 100)
         second, fresh2 = evaluator.estimate((2, 1, 3), 100)
         assert fresh1 and not fresh2 and first == second
-        _, fresh3 = evaluator.estimate((2, 1, 3), 200)
+        third, fresh3 = evaluator.estimate((2, 1, 3), 200)
         assert fresh3  # different budget tier is a different key
+        # One assignment at two budgets is two tests, each cached at its own tier.
+        assert evaluator.estimate((2, 1, 3), 100) == (first, False)
+        assert evaluator.estimate((2, 1, 3), 200) == (third, False) and third.n_games == 200
         assert evaluator.fresh_evaluations == 2
         assert evaluator.games_used == 300
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_prefetch_is_false_only_for_a_cached_pair(self, lanes):
+        oracle = LaneOracle(lanes)
+        evaluator = CachingEvaluator(oracle)
+        x, y = (3, 1, 2), (1, 3, 2)
+        assert evaluator.prefetch(x, 100)  # sent ahead, or refused by a one-lane oracle
+        evaluator.estimate(x, 100)
+        assert not evaluator.prefetch(x, 100)
+        assert evaluator.prefetch(x, 200) and evaluator.prefetch(y, 100)
+        assert oracle.sent == ([(x, 100), (x, 200), (y, 100)] if lanes > 1 else [])
+        # The two sent ahead and never estimated are the unused ones.
+        usage = evaluator.usage()
+        assert usage["unused_requests"] == (2 if lanes > 1 else 0)
+        assert usage["unused_games"] == (300 if lanes > 1 else 0)
+
+    @pytest.mark.parametrize(
+        "lanes, phase2_games, evaluations, oracle",
+        [
+            # Equal phase budgets: phase 2 hits phase 1's cache.
+            (1, 50, (97, 4900), (97, 4900, 0, 0)),
+            (1, 200, (98, 10800), (98, 10800, 0, 0)),
+            (2, 50, (97, 4900), (108, 5450, 11, 550)),
+            (2, 200, (98, 10800), (108, 12800, 10, 2000)),
+        ],
+    )
+    def test_summary_counts_are_pinned(self, monkeypatch, tmp_path, lanes, phase2_games, evaluations, oracle):
+        # Two lanes: a synthetic oracle that reports every request as sent
+        # ahead. The counts must not depend on how the cache keys its tiers.
+        monkeypatch.setattr(SyntheticOracle, "lanes", lanes)
+        monkeypatch.setattr(SyntheticOracle, "prefetch", lambda self, x, n_games: lanes > 1)
+        cfg = RunConfig.from_dict({
+            "initial": [7, 3, 11, 1, 9, 12, 5, 2, 10, 4, 8, 6],
+            "seed": 19,
+            "oracle": {"kind": "synthetic", "target": list(range(1, 13)), "sigma": 1.9},
+            "phase1": {"games": 50, "baseline_games": 100},
+            "phase2": {"games": phase2_games, "steps": 40, "t0": 2.0, "dt": 0.05},
+        })
+        run_experiment(cfg, tmp_path)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["evaluations"] == dict(zip(("tests", "games"), evaluations))
+        keys = ("requests", "games", "unused_requests", "unused_games")
+        assert doc["oracle"] == {**dict(zip(keys, oracle)), "restarts": 0}
+
+
+class LaneOracle(ExactOracle):
+    """An exact oracle over unit weights that records each request sent ahead."""
+
+    def __init__(self, lanes: int):
+        super().__init__(unit_landscape((1, 2, 3)))
+        self.lanes = lanes
+        self.sent: list[tuple[tuple[int, ...], int]] = []
+
+    def prefetch(self, x, n_games):
+        if self.lanes > 1:
+            self.sent.append((x, n_games))
+        return self.lanes > 1
 
 
 class TestLandscapeConfig:
