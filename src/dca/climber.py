@@ -56,23 +56,9 @@ class SweepState:
     element: int
     probes: dict[int, SweepProbe]  # by rank, in ascending rank order
     stop_rank: Optional[int]
-
-    @property
-    def best_rank(self) -> int:
-        """The rank of the best tested mean; the lowest such rank on a tie."""
-        return max(self.probes, key=lambda r: self.probes[r].estimate.mean)
-
-    @property
-    def best_new_rank(self) -> Optional[int]:
-        """The rank of the best freshly tested mean, if any; the lowest such rank on a tie."""
-        return max(self.fresh_ranks(), key=lambda r: self.probes[r].estimate.mean, default=None)
-
-    @property
-    def best_probe(self) -> SweepProbe:
-        return self.probes[self.best_rank]
-
-    def fresh_ranks(self) -> list[int]:
-        return [r for r in sorted(self.probes) if self.probes[r].fresh]
+    best_rank: int  # of the best tested mean; the lowest such rank on a tie
+    best_new_rank: Optional[int]  # of the best fresh mean, if any; the lowest such rank on a tie
+    fresh_ranks: list[int]  # ascending
 
 
 @dataclass
@@ -121,6 +107,7 @@ def run_sweep(
     others, moved = baseline[: current_rank - 1] + baseline[current_rank:], (element,)
     probes: dict[int, SweepProbe] = {}
     stop_rank: Optional[int] = None
+    best_rank, best_new_rank, fresh_ranks = 1, None, []
     # The incumbent's mean is the best traced so far; a fresh probe above
     # every earlier one is starred.
     best_mean = baseline_estimate.mean
@@ -155,8 +142,13 @@ def run_sweep(
             test_id = run.add(1, x, est, marker=MARKER_STAR if star else MARKER_NONE, text=text)
             if star:
                 best_mean = est.mean
+            if best_new_rank is None or est.mean > probes[best_new_rank].estimate.mean:
+                best_new_rank = rank
+            fresh_ranks.append(rank)
         else:
             test_id = run.ids.get(x, -1)
+        if rank > 1 and est.mean > probes[best_rank].estimate.mean:
+            best_rank = rank
         probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
 
         if stoppable and est.mean < last:
@@ -164,7 +156,7 @@ def run_sweep(
             break
         before, last = last, est.mean
 
-    return SweepState(element=element, probes=probes, stop_rank=stop_rank)
+    return SweepState(element, probes, stop_rank, best_rank, best_new_rank, fresh_ranks)
 
 
 def _candidate_pairs(sweep: SweepState, scope: str) -> list[tuple[int, int]]:
@@ -259,7 +251,7 @@ def run_phase1(
         decisions.extend(
             induce_from_sweep(sweep, graph, config.tau, config.induction_scope, run)
         )
-        winner = sweep.best_probe
+        winner = sweep.probes[sweep.best_rank]
         if winner.estimate.mean > best_estimate.mean:
             best, best_estimate = winner.assignment, winner.estimate
         run.checkpoint()

@@ -257,7 +257,7 @@ class RunParts:
 def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[RunParts]:
     """Validate `cfg` and wire one run's parts; on exit close the oracles and flush the trace.
 
-    With `out_dir` the run's TraceSink streams trace.jsonl and trace.csv there.
+    With `out_dir` the run's TraceSink streams trace.jsonl there and writes trace.csv on exit.
     """
     cfg.validate()
     oracle1 = build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle"))
@@ -337,8 +337,9 @@ def oracle_usage(parts: RunParts) -> dict[str, int]:
 def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:
     """Write the run's constraint graph (edge list and DOT) and summary.json.
 
-    The trace itself is not written here: the run's TraceSink streams both
-    trace.jsonl and trace.csv into the same directory at every checkpoint.
+    The trace itself is not written here: the run's TraceSink streams
+    trace.jsonl into the same directory at every checkpoint, and writes
+    trace.csv there when the run closes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

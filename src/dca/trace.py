@@ -3,10 +3,11 @@
 One record per evaluated test, mirroring the optimizer's printed tables:
 test id, assignment, mean, standard error, and either constraint annotations
 (phase 1) or annealing fields (phase 2). Records serialize one JSON object
-per line so long runs stream safely, and parse back losslessly; a flattened
-CSV row per record serves spreadsheets. Both are written by format strings,
-byte for byte what json.JSONEncoder and csv.writer would write, and are
-plain ASCII.
+per line, streamed to trace.jsonl at checkpoints so long runs leave a valid
+prefix, and parse back losslessly; a flattened CSV row per record, written
+to trace.csv once when the run closes, serves spreadsheets. Both are written
+by format strings, byte for byte what json.JSONEncoder and csv.writer would
+write, and are plain ASCII.
 """
 
 from __future__ import annotations
@@ -204,63 +205,59 @@ def csv_row(record: TraceRecord, assignment: Optional[str] = None) -> str:
 
 
 class TraceSink:
-    """The one writer of a run's trace.jsonl and trace.csv, fed through checkpoints.
+    """The one writer of a run's trace.jsonl, fed through checkpoints, and of its trace.csv at close.
 
-    Each row is serialised once, into its JSON line and its CSV row from a
-    single formatted assignment (the row's `text` when it has one), and
-    each flush encodes each file's new rows in one call. The sink keeps
-    every row's byte offset in both files. Rows are ASCII by construction
+    Each flush serialises each new row once, from the row's `text` when it
+    has one, and encodes the new lines in one call. The sink keeps every
+    row's byte offset in trace.jsonl. Rows are ASCII by construction
     (digits, spaces, fixed words and float reprs), so a row's string
     length is its byte length; a non-ASCII character would make the flush
     raise before it writes, not write rows at wrong offsets. A flush
     rewinds to the first row changed since the last one (a late
     annotation) or else the first unwritten row, truncates there and
-    writes from that row on. After every flush the files hold every
-    record's trace_line and csv_row: an interrupted run leaves a valid prefix.
+    writes from that row on. After every flush trace.jsonl holds every
+    record's trace_line, so an interrupted run leaves a valid prefix of it.
+    trace.csv is opened with trace.jsonl, so a directory that cannot take
+    it fails the run before its first test, and is written whole, one
+    csv_row per record, by close().
     """
 
     def __init__(self, out_dir: str | Path):
         out = Path(out_dir)
         self._jsonl = (out / "trace.jsonl").open("wb")
         try:
-            self._csv = (out / "trace.csv").open("wb")
+            self._csv = (out / "trace.csv").open("w", encoding="ascii", newline="")
         except OSError:
             self._jsonl.close()
             raise
-        header = CSV_HEADER.encode()
-        self._csv.write(header)
-        self._csv.flush()
-        # Start offsets (jsonl, csv) of row i at index i; the last entry is
-        # where the next unwritten row goes.
-        self._offsets: list[tuple[int, int]] = [(0, len(header))]
+        self._records: list[TraceRecord] = []
+        # Start offset of row i at index i; the last entry is where the next
+        # unwritten row goes.
+        self._offsets: list[int] = [0]
 
     def flush_to(self, records: list[TraceRecord], changed: Optional[int] = None) -> None:
+        self._records = records
         start = len(self._offsets) - 1
         if changed is not None and changed < start:
             start = changed
             del self._offsets[start + 1:]
-            for handle, at in zip((self._jsonl, self._csv), self._offsets[start]):
-                handle.seek(at)
-                handle.truncate()
-        json_at, csv_at = self._offsets[-1]
-        lines, rows = [], []
+            self._jsonl.seek(self._offsets[start])
+            self._jsonl.truncate()
+        at = self._offsets[-1]
+        lines = []
         for record in records[start:]:
-            assignment = format_assignment(record.assignment) if record.text is None else record.text
-            line = trace_line(record, assignment)
-            row = csv_row(record, assignment)
-            json_at += len(line)
-            csv_at += len(row)
-            self._offsets.append((json_at, csv_at))
+            line = trace_line(record, record.text)
+            at += len(line)
+            self._offsets.append(at)
             lines.append(line)
-            rows.append(row)
         self._jsonl.write("".join(lines).encode("ascii"))
-        self._csv.write("".join(rows).encode("ascii"))
         self._jsonl.flush()
-        self._csv.flush()
 
     def close(self) -> None:
         self._jsonl.close()
-        self._csv.close()
+        with self._csv:
+            self._csv.write(CSV_HEADER)
+            self._csv.writelines(csv_row(r, r.text) for r in self._records)
 
 
 @dataclass

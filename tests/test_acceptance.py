@@ -93,9 +93,9 @@ def test_criterion_2_sweep_boundary_replay():
         by_element = {sweep.element: sweep for sweep in result.sweeps}
 
         assert by_element[11].stop_rank == 5
-        assert by_element[11].fresh_ranks() == [2, 3, 4, 5]
+        assert by_element[11].fresh_ranks == [2, 3, 4, 5]
 
-        assert by_element[9].fresh_ranks() == [1, 2, 3, 6]
+        assert by_element[9].fresh_ranks == [1, 2, 3, 6]
         assert reused_ranks(by_element[9]) == [4, 5]
         assert by_element[9].stop_rank == 6
 

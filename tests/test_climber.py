@@ -11,9 +11,8 @@ from dca.climber import (
     SCOPE_ALL_PAIRS,
     SCOPE_FLANKING,
     Phase1Config,
-    SweepProbe,
-    SweepState,
     run_phase1,
+    run_sweep,
 )
 from dca.constraints import NOT_INDUCED, AddOutcome
 from dca.errors import ConfigError, ReplayMissError
@@ -22,12 +21,13 @@ from dca.evaluation import (
     ExactOracle,
     FitnessEstimate,
     HiddenTargetLandscape,
+    Oracle,
     ReplayOracle,
     SyntheticOracle,
     format_mean,
 )
 from dca.harness import FIXTURE_TABLE1_2, TABLE_BRACKETS, TABLE_CONSTRAINTS
-from dca.perm import format_assignment, insertion_move, parse_assignment
+from dca.perm import format_assignment, insertion_move, parse_assignment, rank_of
 from dca.trace import RunContext
 
 from references import adjacent_transposition_diff, dump_trace, reused_ranks, significant_difference
@@ -77,10 +77,10 @@ class TestSweepBoundaries:
         sweep = replay_result[0].sweeps[0]
         assert sweep.element == 11
         assert sweep.stop_rank == 5
-        assert sweep.fresh_ranks() == [2, 3, 4, 5]
+        assert sweep.fresh_ranks == [2, 3, 4, 5]
         assert reused_ranks(sweep) == [1]
         assert sweep.best_rank == 4
-        assert format_mean(sweep.best_probe.estimate.mean) == "-3.89289"
+        assert format_mean(sweep.probes[sweep.best_rank].estimate.mean) == "-3.89289"
 
     def test_element_2_stops_immediately_after_its_own_position(self, replay_result):
         sweep = replay_result[0].sweeps[1]
@@ -91,13 +91,13 @@ class TestSweepBoundaries:
     def test_element_3_reuses_the_earlier_swap_test(self, replay_result):
         sweep = replay_result[0].sweeps[2]
         assert sweep.element == 3
-        assert sweep.fresh_ranks() == [3]
+        assert sweep.fresh_ranks == [3]
         assert reused_ranks(sweep) == [1, 2]
 
     def test_element_10_evaluates_one_new_test_only(self, replay_result):
         sweep = replay_result[0].sweeps[3]
         assert sweep.element == 10
-        assert sweep.fresh_ranks() == [1]
+        assert sweep.fresh_ranks == [1]
         assert reused_ranks(sweep) == [2, 3, 4]
         assert sweep.stop_rank == 4
         assert sweep.best_rank == 3  # stays put: the incumbent wins
@@ -105,7 +105,7 @@ class TestSweepBoundaries:
     def test_element_9_interleaves_new_and_reused_ranks(self, replay_result):
         sweep = replay_result[0].sweeps[4]
         assert sweep.element == 9
-        assert sweep.fresh_ranks() == [1, 2, 3, 6]
+        assert sweep.fresh_ranks == [1, 2, 3, 6]
         assert reused_ranks(sweep) == [4, 5]
         assert sweep.stop_rank == 6
         assert sweep.best_rank == 5  # incumbent position
@@ -115,7 +115,7 @@ class TestSweepBoundaries:
         sweep = result.sweeps[5]
         assert sweep.element == 6
         assert sweep.stop_rank == 4
-        assert sweep.fresh_ranks() == [1, 2, 3, 4]
+        assert sweep.fresh_ranks == [1, 2, 3, 4]
         assert sweep.best_rank == 3
         assert format_mean(sweep.probes[3].estimate.mean) == "-3.98894"
         # Peak below the incumbent: the global best is unchanged by this sweep.
@@ -125,7 +125,7 @@ class TestSweepBoundaries:
         sweep = replay_result[0].sweeps[8]
         assert sweep.element == 7
         assert sweep.stop_rank == 6
-        assert sweep.fresh_ranks() == [1, 2, 3, 4, 5, 6]
+        assert sweep.fresh_ranks == [1, 2, 3, 4, 5, 6]
 
     def test_first_rank_dip_does_not_stop_a_sweep(self, replay_result):
         # Elements 9 and 8 both dip at rank 2 with no left context and continue.
@@ -148,25 +148,36 @@ class TestSweepBoundaries:
         assert run.records[0].n_games == 2000
         assert all(r.n_games == 1000 for r in run.records[1:])
 
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=12))
-    def test_best_ranks_equal_the_loops_they_replaced(self, rows):
-        # Integer means from a small range, so most sweeps hold ties.
-        probes = {
-            rank: SweepProbe(
-                assignment=(rank,), estimate=FitnessEstimate(float(mean), 0.0, 1), test_id=rank, fresh=fresh
-            )
-            for rank, (mean, fresh) in enumerate(rows, start=1)
-        }
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=2, max_size=12), st.data())
+    def test_best_ranks_equal_the_loops_they_replaced(self, rows, data):
+        # Integer means from a small range, so most sweeps hold ties. Rank r's
+        # mean is rows[r - 1][0]; a rank whose flag is set is estimated before
+        # the sweep, so the sweep reuses it.
+        baseline = tuple(range(1, len(rows) + 1))
+        element = data.draw(st.sampled_from(baseline))
+        means = [float(mean) for mean, _ in rows]
+
+        class RankMeans(Oracle):
+            def evaluate(self, x, n_games):
+                return FitnessEstimate(means[rank_of(x, element) - 1], 0.0, n_games)
+
+        evaluator = CachingEvaluator(RankMeans())
+        for rank, (_, cached) in enumerate(rows, start=1):
+            if cached:
+                evaluator.estimate(insertion_move(baseline, element, rank), 1)
+        start = FitnessEstimate(means[element - 1], 0.0, 1)
+        sweep = run_sweep(element, baseline, start, evaluator, Phase1Config(n_games=1), RunContext())
+        probes = sweep.probes
         best_rank = min(probes)
         for rank in sorted(probes):
             if probes[rank].estimate.mean > probes[best_rank].estimate.mean:
                 best_rank = rank
+        fresh_ranks = [r for r in sorted(probes) if probes[r].fresh]
         best_new_rank = None
-        for rank in [r for r in sorted(probes) if probes[r].fresh]:
+        for rank in fresh_ranks:
             if best_new_rank is None or probes[rank].estimate.mean > probes[best_new_rank].estimate.mean:
                 best_new_rank = rank
-        sweep = SweepState(element=1, probes=probes, stop_rank=None)
-        assert (sweep.best_rank, sweep.best_new_rank) == (best_rank, best_new_rank)
+        assert (sweep.best_rank, sweep.best_new_rank, sweep.fresh_ranks) == (best_rank, best_new_rank, fresh_ranks)
 
 
 class TestInduction:
@@ -353,7 +364,7 @@ class TestSplicedProbes:
         sweep = run_phase1(baseline, CachingEvaluator(oracle), config).sweeps[0]
         for rank, probe in sweep.probes.items():
             assert probe.assignment == insertion_move(baseline, element, rank)
-        probes = [sweep.probes[r].assignment for r in sweep.fresh_ranks()]
+        probes = [sweep.probes[r].assignment for r in sweep.fresh_ranks]
         assert [x for x, _ in oracle.evaluated] == [baseline, *probes]
         # A single sweep sends ahead only what it then tests: the baseline, the first probe, and
         # the probes at ranks the stop rule has already made certain.
@@ -370,7 +381,7 @@ class TestClimbingProperties:
         result = run_phase1(X0, evaluator, run=run)
         best_so_far = None
         for sweep in result.sweeps:
-            sweep_best = sweep.best_probe.estimate.mean
+            sweep_best = sweep.probes[sweep.best_rank].estimate.mean
             current = sweep_best if best_so_far is None else max(best_so_far, sweep_best)
             assert best_so_far is None or current >= best_so_far
             best_so_far = current
@@ -413,7 +424,7 @@ class TestClimbingProperties:
         result = run_phase1((2, 3, 1, 4), CachingEvaluator(ExactOracle(landscape)))
         assert result.best == (2, 3, 1, 4)
         assert all(
-            sweep.best_probe.estimate.mean <= result.best_estimate.mean
+            sweep.probes[sweep.best_rank].estimate.mean <= result.best_estimate.mean
             for sweep in result.sweeps
         )
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from dca.climber import SCOPE_ALL_PAIRS, SCOPE_FLANKING, Phase1Config, run_phase1
 from dca.constraints import NOT_INDUCED, AddOutcome, RankConstraint
-from dca.evaluation import CachingEvaluator, ExactOracle, FitnessEstimate, HiddenTargetLandscape
-from dca.harness import RunConfig, run_experiment
+from dca.errors import OracleIOError
+from dca.evaluation import CachingEvaluator, ExactOracle, FitnessEstimate, HiddenTargetLandscape, SyntheticOracle
+from dca.harness import RunConfig, assemble, run_experiment
 from dca.perm import format_assignment
 from dca.trace import (
     CSV_HEADER,
@@ -85,23 +86,29 @@ class TestNotes:
             parse_note({**doc, "kind": AddOutcome.ADDED.value})
 
 
-def assert_files_match(out, records):
+def assert_jsonl_matches(out, records):
     assert (out / "trace.jsonl").read_text() == dump_trace(records)
+
+
+def assert_files_match(out, records):
+    assert_jsonl_matches(out, records)
     assert (out / "trace.csv").read_text() == trace_to_csv(records)
 
 
 class TestTraceSink:
     def test_a_late_annotation_rewrites_from_its_row(self, tmp_path):
         run = RunContext(sink=TraceSink(tmp_path))
-        assert_files_match(tmp_path, [])
+        assert_jsonl_matches(tmp_path, [])
         for i in range(3):
             run.add(1, (1, 2, 3), estimate(-1.0 - i))
         run.checkpoint()
-        assert_files_match(tmp_path, run.records)
+        assert_jsonl_matches(tmp_path, run.records)
         run.add(1, (1, 3, 2), estimate(-0.5))
         run.annotate(1, RankConstraint(3, 2, (0, 1), 0.1, 0.2, NOT_INDUCED))
         run.checkpoint()
-        assert_files_match(tmp_path, run.records)
+        assert_jsonl_matches(tmp_path, run.records)
+        # trace.csv is written only when the sink closes.
+        assert (tmp_path / "trace.csv").read_text() == ""
         run.checkpoint()
         run.sink.close()
         assert_files_match(tmp_path, run.records)
@@ -118,7 +125,7 @@ class TestTraceSink:
         def checkpoint(run):
             late.append(run.changed is not None and run.changed < written[-1])
             original(run)
-            assert_files_match(tmp_path, run.records)
+            assert_jsonl_matches(tmp_path, run.records)
             written.append(len(run.records))
 
         monkeypatch.setattr(RunContext, "checkpoint", checkpoint)
@@ -134,6 +141,31 @@ class TestTraceSink:
         assert len(late) > n
         assert any(late) == (scope == "all-pairs")
         assert_files_match(tmp_path, summary.trace)
+
+    def test_a_run_that_raises_leaves_both_files_equal_to_its_records(self, tmp_path, monkeypatch):
+        evaluate, calls = SyntheticOracle.evaluate, []
+
+        def failing(oracle, x, n_games):
+            calls.append(x)
+            if len(calls) > 20:
+                raise OracleIOError("evaluator gone")
+            return evaluate(oracle, x, n_games)
+
+        monkeypatch.setattr(SyntheticOracle, "evaluate", failing)
+        n = 12
+        cfg = RunConfig.from_dict({
+            "initial": list(range(n, 0, -1)),
+            "seed": 0,
+            "oracle": {"kind": "synthetic", "target": list(range(1, n + 1)), "sigma": 1.9},
+        })
+        with pytest.raises(OracleIOError, match="evaluator gone"):
+            with assemble(cfg, tmp_path) as parts:
+                run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
+        records = parts.run.records
+        # The baseline and 19 probes, over more than one sweep, and no phase-2 row.
+        assert len(records) == 20 and {r.phase for r in records} == {1}
+        assert any(r.annotations for r in records)
+        assert_files_match(tmp_path, records)
 
 
 def shuffled(n, tag):
@@ -379,6 +411,7 @@ class TestLosslessRoundTrip:
             sink = TraceSink(out)
             sink.flush_to(rows[:split])
             sink.flush_to(rows)
+            jsonl_at_flush = (Path(out) / "trace.jsonl").read_bytes()
             sink.close()
             offsets = sink._offsets
             jsonl = (Path(out) / "trace.jsonl").read_bytes()
@@ -388,10 +421,10 @@ class TestLosslessRoundTrip:
         assert jsonl.decode() == dump_trace(rows) and csv_bytes.decode() == trace_to_csv(rows)
         assert [trace_line(r) for r in parsed] == [trace_line(r) for r in rows]
         assert [csv_row(r) for r in parsed] == [csv_row(r) for r in rows]
-        # Row i starts after the bytes of rows 0..i-1 (and the csv header).
-        json_ends = list(accumulate(map(len, jsonl.splitlines(keepends=True)), initial=0))
-        csv_ends = list(accumulate(map(len, csv_bytes.splitlines(keepends=True))))
-        assert offsets == list(zip(json_ends, csv_ends))
+        # Closing writes trace.csv and leaves trace.jsonl as the last flush wrote it.
+        assert jsonl_at_flush == jsonl
+        # Row i starts after the bytes of rows 0..i-1.
+        assert offsets == list(accumulate(map(len, jsonl.splitlines(keepends=True)), initial=0))
 
 
 @st.composite
