@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import read_text
 from .constraints import ConstraintGraph
-from .errors import ConfigError, InvalidTemperatureError
+from .errors import ConfigError, DcaError, InvalidTemperatureError
 from .evaluation import CachingEvaluator, FitnessEstimate
 from .perm import (
     Assignment,
@@ -53,12 +53,7 @@ def acceptance_probability(f_current: float, f_candidate: float, temperature: fl
 POOL_ROUNDS = 8
 
 
-class Proposer:
-    def propose(self, current: Assignment, graph: ConstraintGraph) -> tuple[Move, Assignment]:
-        raise NotImplementedError
-
-
-class InsertionProposer(Proposer):
+class InsertionProposer:
     """Tournament over random insertion neighbours, filtered by violations.
 
     Draws `pool_size` neighbours uniformly (with replacement) from the
@@ -115,7 +110,7 @@ class InsertionProposer(Proposer):
         return move, insertion_move(current, move.element, move.to_rank)
 
 
-class ScriptedProposer(Proposer):
+class ScriptedProposer:
     """Replay an explicit move list: one serialized assignment per line.
 
     Each scripted assignment must be exactly one insertion move away from the
@@ -205,7 +200,7 @@ def run_phase2(
     evaluator: CachingEvaluator,
     graph: ConstraintGraph,
     config: Phase2Config,
-    proposer: Proposer,
+    proposer: InsertionProposer | ScriptedProposer,
     acceptance_rng: np.random.Generator,
     run: Optional[RunContext] = None,
 ) -> Phase2Result:
@@ -287,8 +282,14 @@ def run_phase2(
 
 
 def load_scripted_moves(path: str | Path) -> list[Assignment]:
-    lines = read_text(path, "scripted move file").splitlines()
-    moves = [parse_assignment(line) for line in lines if line.strip()]
+    """The assignments of the scripted move file at `path`; a bad line is a ConfigError naming it."""
+    moves = []
+    for number, line in enumerate(read_text(path, "scripted move file").splitlines(), start=1):
+        if line.strip():
+            try:
+                moves.append(parse_assignment(line))
+            except DcaError as err:
+                raise ConfigError(f"{path}:{number}: {err}") from err
     if not moves:
         raise ConfigError(f"{path}: scripted move file holds no assignments")
     return moves

@@ -10,7 +10,7 @@ are reported but induce nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -42,23 +42,24 @@ class Phase1Config:
 
 
 @dataclass
-class SweepProbe:
-    """One tested rank within a sweep."""
-
-    assignment: Assignment
-    estimate: FitnessEstimate
-    test_id: int
-    fresh: bool
-
-
-@dataclass
 class SweepState:
+    """One sweep of `element` among `others`, the baseline without it.
+
+    A tested rank's assignment is `probe(rank)`; its test id, as the sweep
+    ends, is `run.ids.get(probe(rank), -1)`, since no two ranks share one.
+    """
+
     element: int
-    probes: dict[int, SweepProbe]  # by rank, in ascending rank order
-    stop_rank: Optional[int]
-    best_rank: int  # of the best tested mean; the lowest such rank on a tie
-    best_new_rank: Optional[int]  # of the best fresh mean, if any; the lowest such rank on a tie
-    fresh_ranks: list[int]  # ascending
+    others: Assignment
+    probes: dict[int, FitnessEstimate] = field(default_factory=dict)  # by rank, ascending
+    stop_rank: Optional[int] = None
+    best_rank: int = 1  # of the best tested mean; the lowest such rank on a tie
+    best_new_rank: Optional[int] = None  # of the best fresh mean, if any; the lowest such rank on a tie
+    fresh_ranks: list[int] = field(default_factory=list)  # ascending
+
+    def probe(self, rank: int) -> Assignment:
+        """The assignment with the element at `rank`: `insertion_move`'s tuple without its index scan."""
+        return self.others[: rank - 1] + (self.element,) + self.others[rank - 1 :]
 
 
 @dataclass
@@ -94,27 +95,25 @@ def run_sweep(
     established rise to its left does not. Whether a stop is possible at a
     rank is known before that rank is tested, so an oracle with more than
     one lane gets the next rank sent alongside whenever no stop is possible.
-    Each probe is `others[:rank - 1] + (element,) + others[rank - 1:]`, with
-    `others` the baseline without the element: `insertion_move`'s tuple
-    without its index scan. A streamed run's probe text is spliced the same
-    way from the text of `others`: the element goes in at `cut[rank - 1]`,
-    where the rank-th token starts, or last at rank n.
+    Every probe, and every request sent ahead, is `SweepState.probe`. A
+    streamed run's probe text is spliced the same way from the text of
+    `others`: the element goes in at `cut[rank - 1]`, where the rank-th token
+    starts, or last at rank n.
     An exact oracle scores the whole sweep in one `sweep` call, and a fresh
     probe takes its mean from that table.
     """
     n = len(baseline)
     current_rank = rank_of(baseline, element)
-    others, moved = baseline[: current_rank - 1] + baseline[current_rank:], (element,)
-    probes: dict[int, SweepProbe] = {}
-    stop_rank: Optional[int] = None
-    best_rank, best_new_rank, fresh_ranks = 1, None, []
+    sweep = SweepState(element, baseline[: current_rank - 1] + baseline[current_rank:])
+    probe, probes, fresh_ranks = sweep.probe, sweep.probes, sweep.fresh_ranks
+    best_rank, best_new_rank = 1, None
     # The incumbent's mean is the best traced so far; a fresh probe above
     # every earlier one is starred.
     best_mean = baseline_estimate.mean
     before = last = 0.0  # the means at ranks rank - 2 and rank - 1, read only once tested
     text = None
     if run.sink is not None:
-        rest = format_assignment(others)
+        rest = format_assignment(sweep.others)
         cut = list(accumulate((len(token) + 1 for token in rest.split(" ")), initial=0))
         name = format_assignment((element,))
 
@@ -126,12 +125,11 @@ def run_sweep(
         if ahead and not stoppable:  # rank + 1 is tested whatever rank's mean: send both
             for r in (rank, rank + 1):
                 if r != current_rank and r <= n:
-                    evaluator.prefetch(others[: r - 1] + moved + others[r - 1 :], config.n_games)
+                    evaluator.prefetch(probe(r), config.n_games)
         if rank == current_rank:
-            x = baseline
             est, fresh = baseline_estimate, False
         else:
-            x = others[:prev] + moved + others[prev:]
+            x = probe(rank)
             exact = None if table is None else table[prev]
             est, fresh = evaluator.estimate(x, config.n_games, exact)
         if fresh:
@@ -139,24 +137,23 @@ def run_sweep(
                 at = cut[prev]
                 text = f"{rest} {name}" if rank == n else f"{rest[:at]}{name} {rest[at:]}"
             star = est.mean > best_mean
-            test_id = run.add(1, x, est, marker=MARKER_STAR if star else MARKER_NONE, text=text)
+            run.add(1, x, est, marker=MARKER_STAR if star else MARKER_NONE, text=text)
             if star:
                 best_mean = est.mean
-            if best_new_rank is None or est.mean > probes[best_new_rank].estimate.mean:
+            if best_new_rank is None or est.mean > probes[best_new_rank].mean:
                 best_new_rank = rank
             fresh_ranks.append(rank)
-        else:
-            test_id = run.ids.get(x, -1)
-        if rank > 1 and est.mean > probes[best_rank].estimate.mean:
+        if rank > 1 and est.mean > probes[best_rank].mean:
             best_rank = rank
-        probes[rank] = SweepProbe(assignment=x, estimate=est, test_id=test_id, fresh=fresh)
+        probes[rank] = est
 
         if stoppable and est.mean < last:
-            stop_rank = rank
+            sweep.stop_rank = rank
             break
         before, last = last, est.mean
 
-    return SweepState(element, probes, stop_rank, best_rank, best_new_rank, fresh_ranks)
+    sweep.best_rank, sweep.best_new_rank = best_rank, best_new_rank
+    return sweep
 
 
 def _candidate_pairs(sweep: SweepState, scope: str) -> list[tuple[int, int]]:
@@ -191,22 +188,22 @@ def induce_from_sweep(
     of the pair.
     """
     decisions: list[RankConstraint] = []
+    element = sweep.element
     for lo_rank, hi_rank in _candidate_pairs(sweep, scope):
         lo, hi = sweep.probes[lo_rank], sweep.probes[hi_rank]
-        gap = abs(lo.estimate.mean - hi.estimate.mean)
-        threshold = tau * max(lo.estimate.se, hi.estimate.se)
-        if lo.estimate.mean >= hi.estimate.mean:
-            before, after = lo.assignment[lo_rank - 1], lo.assignment[lo_rank]
-        else:
-            before, after = hi.assignment[lo_rank - 1], hi.assignment[lo_rank]
-        c = RankConstraint(before, after, (lo.test_id, hi.test_id), gap, threshold)
+        gap = abs(lo.mean - hi.mean)
+        threshold = tau * max(lo.se, hi.se)
+        other = sweep.others[lo_rank - 1]
+        before, after = (element, other) if lo.mean >= hi.mean else (other, element)
+        tests = (run.ids.get(sweep.probe(lo_rank), -1), run.ids.get(sweep.probe(hi_rank), -1))
+        c = RankConstraint(before, after, tests, gap, threshold)
         if gap > threshold:
             c.outcome = graph.try_add(c).value
         else:
             c.outcome = NOT_INDUCED
         decisions.append(c)
         if c.induced or c.outcome == NOT_INDUCED:
-            run.annotate(max(lo.test_id, hi.test_id), c)
+            run.annotate(max(tests), c)
     return decisions
 
 
@@ -252,8 +249,8 @@ def run_phase1(
             induce_from_sweep(sweep, graph, config.tau, config.induction_scope, run)
         )
         winner = sweep.probes[sweep.best_rank]
-        if winner.estimate.mean > best_estimate.mean:
-            best, best_estimate = winner.assignment, winner.estimate
+        if winner.mean > best_estimate.mean:
+            best, best_estimate = sweep.probe(sweep.best_rank), winner
         run.checkpoint()
 
     return Phase1Result(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import IncompatibleAssignmentsError, InvalidConstraintError
 from .perm import Assignment, Move, format_assignment
@@ -53,12 +53,10 @@ class RankConstraint:
 
 
 class ConstraintGraph:
-    def __init__(self, edges: Iterable[RankConstraint] = ()):
+    def __init__(self):
         self._edges: dict[tuple[int, int], RankConstraint] = {}
         self._succ: dict[int, set[int]] = {}
         self._pred: dict[int, set[int]] = {}  # the transpose of _succ
-        for c in edges:
-            self.try_add(c)
 
     @property
     def nodes(self) -> set[int]:

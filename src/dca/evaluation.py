@@ -30,6 +30,7 @@ import numpy as np
 from .config import check_keys, integer, read, read_text, real, required
 from .errors import (
     ConfigError,
+    DcaError,
     ElementNotFoundError,
     OracleIOError,
     ReplayMissError,
@@ -375,14 +376,14 @@ class ReplayOracle(Oracle):
             try:
                 key, mean_s, se_s, n_s = (part.strip() for part in line.split("|"))
                 est = FitnessEstimate(mean=float(mean_s), se=float(se_s), n_games=int(n_s))
-            except ValueError as err:
-                raise ConfigError(f"{path}: unparseable replay line {raw!r}") from err
+                key = format_assignment(parse_assignment(key))
+            except (ValueError, DcaError) as err:
+                raise ConfigError(f"{path}:{number}: unparseable replay line {raw!r}: {err}") from err
             problem = untrustworthy(est)
             if problem:
                 raise ConfigError(f"{path}:{number}: replay row has {problem}")
-            key = format_assignment(parse_assignment(key))
             if key in records:
-                raise ConfigError(f"{path}: assignment {key!r} appears more than once")
+                raise ConfigError(f"{path}:{number}: assignment {key!r} appears more than once")
             records[key] = est
         if not records:
             raise ConfigError(f"{path}: replay fixture holds no records")

@@ -25,7 +25,6 @@ from .annealer import (
     InsertionProposer,
     Phase2Config,
     Phase2Result,
-    Proposer,
     ScriptedProposer,
     load_scripted_moves,
     run_phase2,
@@ -249,7 +248,7 @@ class RunParts:
     run: RunContext
     evaluator1: CachingEvaluator
     evaluator2: CachingEvaluator
-    proposer: Proposer
+    proposer: InsertionProposer | ScriptedProposer
     acceptance_rng: np.random.Generator
 
 
@@ -266,7 +265,7 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
     try:
         if cfg.oracle_phase2 is not None:
             oracle2 = build_oracle(cfg.oracle_phase2, derive_seed(cfg.seed, "oracle"))
-        proposer: Proposer
+        proposer: InsertionProposer | ScriptedProposer
         if cfg.phase2.script_moves:
             proposer = ScriptedProposer(load_scripted_moves(cfg.phase2.script_moves))
         else:

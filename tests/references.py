@@ -91,4 +91,4 @@ def adjacent_transposition_diff(
 
 def reused_ranks(sweep: SweepState) -> list[int]:
     """The sweep's ranks that reused an earlier estimate, ascending."""
-    return [r for r in sorted(sweep.probes) if not sweep.probes[r].fresh]
+    return [r for r in sorted(sweep.probes) if r not in sweep.fresh_ranks]

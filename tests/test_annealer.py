@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,19 @@ class TestScriptedProposer:
         proposer.propose(X34, ConstraintGraph())
         with pytest.raises(ConfigError):
             proposer.propose(X34, ConstraintGraph())
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            pytest.param("1 2 x", "unparseable assignment ['1', '2', 'x']", id="bad-id"),
+            pytest.param("1 1 3", "duplicate elements in assignment (1, 1, 3)", id="repeated-element"),
+        ],
+    )
+    def test_malformed_script_line_names_the_file_and_line(self, line, problem, tmp_path):
+        bad = tmp_path / "bad.moves"
+        bad.write_text(f"2 1 3\n\n{line}\n1 2 3\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{bad}:3: {problem}')}$"):
+            load_scripted_moves(bad)
 
 
 @pytest.fixture()

@@ -80,7 +80,7 @@ class TestSweepBoundaries:
         assert sweep.fresh_ranks == [2, 3, 4, 5]
         assert reused_ranks(sweep) == [1]
         assert sweep.best_rank == 4
-        assert format_mean(sweep.probes[sweep.best_rank].estimate.mean) == "-3.89289"
+        assert format_mean(sweep.probes[sweep.best_rank].mean) == "-3.89289"
 
     def test_element_2_stops_immediately_after_its_own_position(self, replay_result):
         sweep = replay_result[0].sweeps[1]
@@ -117,9 +117,9 @@ class TestSweepBoundaries:
         assert sweep.stop_rank == 4
         assert sweep.fresh_ranks == [1, 2, 3, 4]
         assert sweep.best_rank == 3
-        assert format_mean(sweep.probes[3].estimate.mean) == "-3.98894"
+        assert format_mean(sweep.probes[3].mean) == "-3.98894"
         # Peak below the incumbent: the global best is unchanged by this sweep.
-        assert sweep.probes[3].estimate.mean < -3.89289
+        assert sweep.probes[3].mean < -3.89289
 
     def test_element_7_stops_after_rank_6(self, replay_result):
         sweep = replay_result[0].sweeps[8]
@@ -132,7 +132,7 @@ class TestSweepBoundaries:
         for index, element in ((4, 9), (9, 8)):
             sweep = replay_result[0].sweeps[index]
             assert sweep.element == element
-            assert sweep.probes[2].estimate.mean < sweep.probes[1].estimate.mean
+            assert sweep.probes[2].mean < sweep.probes[1].mean
             assert sweep.stop_rank > 2
 
     def test_exactly_36_distinct_evaluations_in_table_order(self, replay_result, fixtures_dir):
@@ -170,12 +170,13 @@ class TestSweepBoundaries:
         probes = sweep.probes
         best_rank = min(probes)
         for rank in sorted(probes):
-            if probes[rank].estimate.mean > probes[best_rank].estimate.mean:
+            if probes[rank].mean > probes[best_rank].mean:
                 best_rank = rank
-        fresh_ranks = [r for r in sorted(probes) if probes[r].fresh]
+        # Fresh: neither estimated before the sweep nor the element's own rank.
+        fresh_ranks = [r for r in sorted(probes) if not rows[r - 1][1] and r != element]
         best_new_rank = None
         for rank in fresh_ranks:
-            if best_new_rank is None or probes[rank].estimate.mean > probes[best_new_rank].estimate.mean:
+            if best_new_rank is None or probes[rank].mean > probes[best_new_rank].mean:
                 best_new_rank = rank
         assert (sweep.best_rank, sweep.best_new_rank, sweep.fresh_ranks) == (best_rank, best_new_rank, fresh_ranks)
 
@@ -250,13 +251,13 @@ class TestInduction:
         assert annotated[35] == [(8, 10, True)]
 
     def test_every_submitted_constraint_involves_the_sweep_element(self, replay_result):
-        result = replay_result[0]
+        result, run, _ = replay_result
         for sweep, expected_element in zip(result.sweeps, (11, 2, 3, 10, 9, 6, 4, 5, 7, 8)):
             assert sweep.element == expected_element
         for d in result.decisions:
             # the sweep that produced it holds both tests at neighbouring ranks
             assert any(
-                (sweep.probes[lo].test_id, sweep.probes[lo + 1].test_id) == d.tests
+                (run.ids[sweep.probe(lo)], run.ids[sweep.probe(lo + 1)]) == d.tests
                 and sweep.element in d.pair()
                 for sweep in result.sweeps
                 for lo in sweep.probes
@@ -361,11 +362,21 @@ class TestSplicedProbes:
         oracle = TwoLaneOracle(HiddenTargetLandscape(target, dict(zip(target, weights))))
         baseline = tuple(ids)
         config = Phase1Config(element_order=[element], induction_scope=scope)
-        sweep = run_phase1(baseline, CachingEvaluator(oracle), config).sweeps[0]
-        for rank, probe in sweep.probes.items():
-            assert probe.assignment == insertion_move(baseline, element, rank)
-        probes = [sweep.probes[r].assignment for r in sweep.fresh_ranks]
+        run = RunContext()
+        result = run_phase1(baseline, CachingEvaluator(oracle), config, run=run)
+        sweep = result.sweeps[0]
+        for rank in sweep.probes:
+            assert sweep.probe(rank) == insertion_move(baseline, element, rank)
+        probes = [sweep.probe(r) for r in sweep.fresh_ranks]
         assert [x for x, _ in oracle.evaluated] == [baseline, *probes]
+        # Each decision cites the ids `run.add` gave its two probes: the
+        # element just before and just after the other element of its pair.
+        given = {r.assignment: r.test_id for r in run.records}
+        others = tuple(e for e in baseline if e != element)
+        for d in result.decisions:
+            lo = others.index(d.after if d.before == element else d.before) + 1
+            pair = (insertion_move(baseline, element, lo), insertion_move(baseline, element, lo + 1))
+            assert d.tests == tuple(given[x] for x in pair)
         # A single sweep sends ahead only what it then tests: the baseline, the first probe, and
         # the probes at ranks the stop rule has already made certain.
         assert oracle.sent and set(oracle.sent) <= set(oracle.evaluated)
@@ -381,7 +392,7 @@ class TestClimbingProperties:
         result = run_phase1(X0, evaluator, run=run)
         best_so_far = None
         for sweep in result.sweeps:
-            sweep_best = sweep.probes[sweep.best_rank].estimate.mean
+            sweep_best = sweep.probes[sweep.best_rank].mean
             current = sweep_best if best_so_far is None else max(best_so_far, sweep_best)
             assert best_so_far is None or current >= best_so_far
             best_so_far = current
@@ -424,7 +435,7 @@ class TestClimbingProperties:
         result = run_phase1((2, 3, 1, 4), CachingEvaluator(ExactOracle(landscape)))
         assert result.best == (2, 3, 1, 4)
         assert all(
-            sweep.probes[sweep.best_rank].estimate.mean <= result.best_estimate.mean
+            sweep.probes[sweep.best_rank].mean <= result.best_estimate.mean
             for sweep in result.sweeps
         )
 

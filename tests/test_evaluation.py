@@ -316,6 +316,21 @@ class TestReplayOracle:
         with pytest.raises(ConfigError, match="'1 2 3' appears more than once"):
             ReplayOracle.load(bad)
 
+    @pytest.mark.parametrize(
+        "assignment, problem",
+        [
+            pytest.param("1 2 x", "unparseable assignment ['1', '2', 'x']", id="bad-id"),
+            pytest.param("1 1 3", "duplicate elements in assignment (1, 1, 3)", id="repeated-element"),
+        ],
+    )
+    def test_malformed_assignment_rejected_naming_the_line(self, assignment, problem, tmp_path):
+        bad = tmp_path / "bad.replay"
+        row = f"{assignment} | -1.0 | 0.1 | 1000"
+        bad.write_text(f"# dca-replay v1\n\n2 1 3 | -2.0 | 0.1 | 10\n{row}\n")
+        message = f"{bad}:4: unparseable replay line {row!r}: {problem}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ReplayOracle.load(bad)
+
 
 ECHO_EVALUATOR = (
     "import sys, json\n"
