@@ -218,8 +218,11 @@ def run_phase2(
     is the one the next step proposes. On an acceptance the proposer's
     state is restored and the next candidate drawn from the new state, so
     the run is the sequential one, test for test.
+
+    A graph element missing from `start` raises, naming it, before any test.
     """
     config.validate()
+    graph.violations(start)
     run = run if run is not None else RunContext()
     first_row = len(run.records)
     n_games = config.n_games_hi

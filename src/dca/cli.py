@@ -10,7 +10,7 @@ from pathlib import Path
 from .annealer import run_phase2
 from .climber import run_phase1
 from .config import read_json_file, read_text
-from .constraints import from_edge_list_text, to_dot, to_edge_list_text
+from .constraints import ConstraintGraph, from_edge_list_text, to_dot, to_edge_list_text
 from .errors import DcaError
 from .evaluation import HiddenTargetLandscape, format_mean
 from .harness import (
@@ -18,7 +18,6 @@ from .harness import (
     assemble,
     brute_force_optimum,
     graph_from_trace,
-    packaged_fixtures_dir,
     replay_verify,
     run_experiment,
 )
@@ -26,42 +25,40 @@ from .perm import format_assignment, parse_assignment
 from .trace import read_trace
 
 
+# Each override flag: the config section and field it sets, and its argparse keywords.
+_OVERRIDES = {
+    "--games": ("phase1", "n_games", dict(type=int, help="phase-1 games per test")),
+    "--games-hi": ("phase2", "n_games_hi", dict(type=int, help="phase-2 games per test")),
+    "--tau": ("phase1", "tau", dict(type=float, help="noise-gate multiplier")),
+    "--t0": ("phase2", "t0", dict(type=float, help="initial annealing temperature")),
+    "--dt": ("phase2", "dt", dict(type=float, help="temperature decrement per step")),
+    "--steps": ("phase2", "steps", dict(type=int, help="annealing step count")),
+    "--pool-size": ("phase2", "pool_size", dict(type=int, help="candidate pool size per step")),
+    "--induction-scope": ("phase1", "induction_scope", dict(choices=["flanking", "all-pairs"])),
+    "--script-moves": ("phase2", "script_moves", dict(type=Path, help="file of scripted candidate assignments")),
+}
+
+
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--seed", type=int, help="override the config's master seed")
     p.add_argument("--out", type=Path, help="directory for trace and summary files")
-    p.add_argument("--games", type=int, help="phase-1 games per test")
-    p.add_argument("--games-hi", type=int, help="phase-2 games per test")
-    p.add_argument("--tau", type=float, help="noise-gate multiplier")
-    p.add_argument("--t0", type=float, help="initial annealing temperature")
-    p.add_argument("--dt", type=float, help="temperature decrement per step")
-    p.add_argument("--steps", type=int, help="annealing step count")
-    p.add_argument("--pool-size", type=int, help="candidate pool size per step")
-    p.add_argument("--induction-scope", choices=["flanking", "all-pairs"])
-    p.add_argument("--script-moves", type=Path, help="file of scripted candidate assignments")
-
-
-# Each override flag's argparse name, and the config section and field it sets.
-_OVERRIDES = (
-    ("games", "phase1", "n_games"),
-    ("tau", "phase1", "tau"),
-    ("induction_scope", "phase1", "induction_scope"),
-    ("games_hi", "phase2", "n_games_hi"),
-    ("t0", "phase2", "t0"),
-    ("dt", "phase2", "dt"),
-    ("steps", "phase2", "steps"),
-    ("pool_size", "phase2", "pool_size"),
-    ("script_moves", "phase2", "script_moves"),
-)
+    for flag, (_, _, keywords) in _OVERRIDES.items():
+        p.add_argument(flag, **keywords)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for flag, section, name in _OVERRIDES:
-        if getattr(args, flag) is not None:
-            setattr(getattr(cfg, section), name, getattr(args, flag))
+    for flag, (section, name, _) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            setattr(getattr(cfg, section), name, value)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
+
+
+def _read_graph(path: Path) -> ConstraintGraph:
+    return from_edge_list_text(read_text(path, "edge list"), path)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -92,7 +89,7 @@ def cmd_phase1(args: argparse.Namespace) -> int:
 
 def cmd_phase2(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(RunConfig.from_json_file(args.config), args)
-    graph = from_edge_list_text(read_text(args.graph, "edge list"))
+    graph = _read_graph(args.graph)
     start = parse_assignment(args.start)
     with assemble(cfg, args.out) as parts:
         result = run_phase2(
@@ -109,15 +106,14 @@ def cmd_phase2(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    fixtures = args.fixtures if args.fixtures else packaged_fixtures_dir()
-    report = replay_verify(fixtures)
+    report = replay_verify(args.fixtures)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 
 
 def cmd_brute(args: argparse.Namespace) -> int:
     landscape = HiddenTargetLandscape.from_config(read_json_file(args.landscape))
-    graph = from_edge_list_text(read_text(args.graph, "edge list")) if args.graph else None
+    graph = _read_graph(args.graph) if args.graph else None
     best, mean = brute_force_optimum(landscape, graph)
     print(f"optimum: {format_assignment(best)}  mean {format_mean(mean)}")
     return 0

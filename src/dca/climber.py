@@ -51,7 +51,7 @@ class SweepState:
 
     element: int
     others: Assignment
-    probes: dict[int, FitnessEstimate] = field(default_factory=dict)  # by rank, ascending
+    probes: dict[int, FitnessEstimate] = field(default_factory=dict)  # ranks 1, 2, ... to the last tested
     stop_rank: Optional[int] = None
     best_rank: int = 1  # of the best tested mean; the lowest such rank on a tie
     best_new_rank: Optional[int] = None  # of the best fresh mean, if any; the lowest such rank on a tie
@@ -157,17 +157,16 @@ def run_sweep(
 
 
 def _candidate_pairs(sweep: SweepState, scope: str) -> list[tuple[int, int]]:
-    ranks = sorted(sweep.probes)
-    consecutive = [(r, r + 1) for r in ranks if r + 1 in sweep.probes]
+    last = len(sweep.probes)  # run_sweep tests every rank from 1 to the one it stops at
     if scope == SCOPE_ALL_PAIRS:
-        return consecutive
+        return [(r, r + 1) for r in range(1, last)]
     # Flanking scope: the two pairs around the best newly measured rank. The
     # sweep's new evidence lives there; pairs around reused estimates only
     # re-derive constraints already extracted when those tests were fresh.
     center = sweep.best_new_rank
     if center is None:
         return []
-    return [(a, b) for (a, b) in consecutive if a == center or b == center]
+    return [(r, r + 1) for r in (center - 1, center) if 1 <= r < last]
 
 
 def induce_from_sweep(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import IncompatibleAssignmentsError, InvalidConstraintError
@@ -69,18 +70,14 @@ class ConstraintGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return set(self._edges)
 
-    def reaches(self, a: int, b: int, skip: Optional[tuple[int, int]] = None) -> bool:
-        """True when a path a -> ... -> b exists in the core set, not using the edge `skip` if given."""
+    def reaches(self, a: int, b: int) -> bool:
+        """True when a path a -> ... -> b exists in the core set; a reaches itself."""
         if a == b:
             return True
         stack = [a]
         seen = {a}
         while stack:
-            node = stack.pop()
-            succ = self._succ.get(node, ())
-            if skip is not None and node == skip[0]:
-                succ = succ - {skip[1]}
-            for nxt in succ:
+            for nxt in self._succ.get(stack.pop(), ()):
                 if nxt == b:
                     return True
                 if nxt not in seen:
@@ -144,10 +141,13 @@ class ConstraintGraph:
         return sign * delta
 
     def transitive_reduction(self) -> "ConstraintGraph":
-        """Minimal edge set with the same reachability relation."""
+        """Minimal edge set with the same reachability relation.
+
+        An edge is implied when another successor of its `before` reaches its `after`.
+        """
         reduced = ConstraintGraph()
         for (before, after), c in self._edges.items():
-            if not self.reaches(before, after, skip=(before, after)):
+            if not any(self.reaches(mid, after) for mid in self._succ[before] if mid != after):
                 reduced.try_add(c)
         for node in self.nodes:
             reduced._succ.setdefault(node, set())
@@ -196,32 +196,38 @@ def to_edge_list_text(g: ConstraintGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def from_edge_list_text(text: str) -> ConstraintGraph:
-    """The graph of an edge list; a duplicate or implied line is kept out, one closing a cycle raises."""
+def from_edge_list_text(text: str, path: str | Path = "<edge list>") -> ConstraintGraph:
+    """The graph of an edge list; a duplicate or implied line is kept out.
+
+    A line that is no edge, a self-loop or one closing a cycle is an error naming `path` and its number.
+    """
     g = ConstraintGraph()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        body, _, note = line.partition("#")
-        try:
-            before_s, after_s = body.split("<")
-            before, after = int(before_s), int(after_s)
-        except ValueError as err:
-            raise InvalidConstraintError(f"unparseable edge line {raw!r}") from err
-        c = RankConstraint(before, after)
-        note = note.strip()
-        if note:
+    try:
+        for number, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            body, _, note = line.partition("#")
             try:
-                tests_part, gap_part, thr_part = note.split()
-                ta, tb = (int(t) for t in tests_part.split(","))
-                c.tests = (ta, tb)
-                c.gap = float(gap_part.removeprefix("gap="))
-                c.threshold = float(thr_part.removeprefix("thr="))
+                before_s, after_s = body.split("<")
+                before, after = int(before_s), int(after_s)
             except ValueError as err:
-                raise InvalidConstraintError(f"unparseable evidence in {raw!r}") from err
-        if g.try_add(c) is AddOutcome.CYCLE_REJECTED:
-            raise InvalidConstraintError(f"edge line {raw!r} closes a cycle")
+                raise InvalidConstraintError(f"unparseable edge line {raw!r}") from err
+            c = RankConstraint(before, after)
+            note = note.strip()
+            if note:
+                try:
+                    tests_part, gap_part, thr_part = note.split()
+                    ta, tb = (int(t) for t in tests_part.split(","))
+                    c.tests = (ta, tb)
+                    c.gap = float(gap_part.removeprefix("gap="))
+                    c.threshold = float(thr_part.removeprefix("thr="))
+                except ValueError as err:
+                    raise InvalidConstraintError(f"unparseable evidence in {raw!r}") from err
+            if g.try_add(c) is AddOutcome.CYCLE_REJECTED:
+                raise InvalidConstraintError(f"edge line {raw!r} closes a cycle")
+    except InvalidConstraintError as err:
+        raise InvalidConstraintError(f"{path}:{number}: {err}") from err
     return g
 
 

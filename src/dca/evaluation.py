@@ -129,13 +129,16 @@ class HiddenTargetLandscape:
         return tuple(sorted(self.target))
 
     def true_fitness(self, x: Assignment) -> float:
-        """The weighted displacement sum of one assignment; see `scores`.
+        """The weighted displacement sum of one assignment, scattered into one rank row; see `scores`.
 
         About 4-9 us a call at n=9 to 75 (timeit on a shared 2-vCPU Xeon
         VM). The synthetic oracle calls it once a test; an exact oracle's
         phase-1 probes take their values from `sweep` instead.
         """
-        total = float(self._totals(self._ranks(x, 1, len(x))))
+        k = len(x)
+        ranks = self._blank.copy()
+        ranks[np.fromiter(map(self._slot.get, x, repeat(0)), np.intp, k)] = np.arange(1.0, k + 1)
+        total = float(self._totals(ranks))
         if total != total:  # NaN: a rank left unfilled, or inf - inf
             self._check_elements(x)
         return total
@@ -143,8 +146,8 @@ class HiddenTargetLandscape:
     def scores(self, rows: Sequence[Assignment]) -> list[float]:
         """The true fitness of each of `rows`, assignments of one length.
 
-        Each row's elements are mapped to their target ranks and scattered
-        into a rank array in target order; each score is the negated
+        Row j's elements are mapped to their target ranks and scattered into
+        row j of one m x (n + 1) rank matrix; each score is the negated
         left-to-right fold from 0.0 of the terms w * |r - i|, in target
         order, bit for bit. Elements outside the target are ignored. A
         missing element raises ElementNotFoundError naming the first such
@@ -158,7 +161,10 @@ class HiddenTargetLandscape:
         sweep with the same fold.
         """
         m, k = len(rows), len(rows[0])
-        totals = self._totals(self._ranks(chain.from_iterable(rows), m, k).reshape(m, -1)).tolist()
+        at = np.fromiter(map(self._slot.get, chain.from_iterable(rows), repeat(0)), np.intp, m * k)
+        ranks = np.tile(self._blank, (m, 1))
+        ranks[np.arange(m).repeat(k), at] = np.tile(np.arange(1.0, k + 1), m)
+        totals = self._totals(ranks).tolist()
         if math.isnan(sum(totals)):  # a rank left unfilled, or inf - inf
             for x in rows:
                 self._check_elements(x)
@@ -187,18 +193,6 @@ class HiddenTargetLandscape:
         ranks[:, at[own]] = rows[:, 0]
         totals = self._totals(ranks)
         return None if np.isnan(totals).any() else totals.tolist()
-
-    def _ranks(self, elements, m: int, k: int) -> np.ndarray:
-        """The ranks of `m` rows of `k` elements each, one row of n + 1 columns after another."""
-        width = self._w.size
-        at = np.fromiter(map(self._slot.get, elements, repeat(0)), np.intp, m * k)
-        positions = self._i[1:] if k == width - 1 else np.arange(1.0, k + 1)
-        ranks = self._blank.copy()
-        if m > 1:  # row j's columns start at j * width
-            at += np.repeat(np.arange(0, m * width, width), k)
-            positions, ranks = np.tile(positions, m), np.tile(ranks, m)
-        ranks[at] = positions
-        return ranks
 
     def _totals(self, ranks: np.ndarray) -> np.ndarray:
         """Each row's score: the negated fold from column 0 of w * |rank - i|, in place."""

@@ -608,3 +608,32 @@ class TestAnnealingProperties:
             return [(r.decision, r.assignment) for r in run.records if not r.reeval]
 
         assert decisions(0.0) == decisions(7.5)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_graph_element_missing_from_the_start_fails_before_any_request(lanes):
+    class Counting(Oracle):
+        def __init__(self):
+            self.lanes, self.evaluated, self.prefetched = lanes, 0, 0
+
+        def evaluate(self, x, n_games):
+            self.evaluated += 1
+            return FitnessEstimate(0.0, 0.1, n_games)
+
+        def prefetch(self, x, n_games):
+            self.prefetched += 1
+            return True
+
+    oracle, run, graph = Counting(), RunContext(), ConstraintGraph()
+    graph.try_add(RankConstraint(1, 9))
+    with pytest.raises(IncompatibleAssignmentsError, match=r"graph elements \[9\] missing"):
+        run_phase2(
+            (1, 2, 3, 4),
+            CachingEvaluator(oracle),
+            graph,
+            Phase2Config(),
+            proposer=InsertionProposer(np.random.default_rng(1)),
+            acceptance_rng=np.random.default_rng(2),
+            run=run,
+        )
+    assert (oracle.evaluated, oracle.prefetched, run.records) == (0, 0, [])

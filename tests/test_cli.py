@@ -177,6 +177,42 @@ def test_phase2_rejects_an_edge_list_with_a_cycle(synthetic_config_file, tmp_pat
     assert err.startswith("error:") and "'3 < 1' closes a cycle" in err
 
 
+# Each bad edge list, and the number and message of the line it fails on.
+BAD_EDGE_LISTS = {
+    "unparseable": ("1 < 2\n3 < x\n", 2, "unparseable edge line '3 < x'"),
+    "self-loop": ("1 < 2\n2 < 2\n", 2, "self-loop constraint on element 2"),
+    "evidence": ("1 < 2 # 1,2 gap=x thr=1\n", 1, "unparseable evidence in '1 < 2 # 1,2 gap=x thr=1'"),
+    "cycle": ("1 < 2\n2 < 3\n# a comment\n\n3 < 1\n", 5, "edge line '3 < 1' closes a cycle"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EDGE_LISTS)
+@pytest.mark.parametrize("command", ["phase2", "brute"])
+def test_a_bad_edge_list_line_is_an_error_naming_its_file_and_line(
+    command, case, synthetic_config_file, tmp_path, capsys
+):
+    text, number, message = BAD_EDGE_LISTS[case]
+    graph_file = tmp_path / "edges.txt"
+    graph_file.write_text(text)
+    if command == "phase2":
+        argv = ["phase2", "--config", str(synthetic_config_file), "--start", "2 4 1 3"]
+    else:
+        landscape = tmp_path / "landscape.json"
+        landscape.write_text(json.dumps({"target": "3 1 2"}))
+        argv = ["brute", "--landscape", str(landscape)]
+    assert main([*argv, "--graph", str(graph_file)]) == 2
+    assert capsys.readouterr().err == f"error: {graph_file}:{number}: {message}\n"
+
+
+def test_phase2_rejects_a_graph_the_start_lacks_before_its_first_test(synthetic_config_file, tmp_path, capsys):
+    graph_file, out = tmp_path / "edges.txt", tmp_path / "out"
+    graph_file.write_text("1 < 9\n")
+    argv = ["phase2", "--config", str(synthetic_config_file), "--graph", str(graph_file), "--start", "1 2 3 4"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: graph elements [9] missing from assignment 1 2 3 4\n"
+    assert (out / "trace.jsonl").read_text() == ""
+
+
 def test_replay_exits_zero_on_shipped_fixtures(capsys):
     assert main(["replay"]) == 0
     report = json.loads(capsys.readouterr().out)
