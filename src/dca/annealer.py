@@ -149,9 +149,9 @@ class Phase2Config:
 
     def validate(self) -> None:
         if self.n_games_hi < 1:
-            raise ConfigError("high-precision game budget must be >= 1")
+            raise ConfigError(f"phase2 games must be >= 1, got {self.n_games_hi}")
         if self.pool_size < 1:
-            raise ConfigError("pool size must be >= 1")
+            raise ConfigError(f"phase2 pool_size must be >= 1, got {self.pool_size}")
         if not (math.isfinite(self.t0) and self.t0 > 0):
             raise ConfigError(f"initial temperature must be finite and positive, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt >= 0):

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-from .annealer import run_phase2
-from .climber import run_phase1
 from .config import read_json_file, read_text
 from .constraints import ConstraintGraph, from_edge_list_text, to_dot, to_edge_list_text
 from .errors import DcaError
@@ -78,7 +76,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_phase1(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(RunConfig.from_json_file(args.config), args)
     with assemble(cfg, args.out) as parts:
-        result = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
+        result = parts.phase1()
     print(f"best: {format_assignment(result.best)}  mean {format_mean(result.best_estimate.mean)}")
     for d in result.decisions:
         print(f"  {d.outcome}: {d.before}<{d.after}")
@@ -92,15 +90,7 @@ def cmd_phase2(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     start = parse_assignment(args.start)
     with assemble(cfg, args.out) as parts:
-        result = run_phase2(
-            start,
-            parts.evaluator2,
-            graph,
-            cfg.phase2,
-            proposer=parts.proposer,
-            acceptance_rng=parts.acceptance_rng,
-            run=parts.run,
-        )
+        result = parts.phase2(start, graph)
     print(f"best: {format_assignment(result.best)}  mean {format_mean(result.best_estimate.mean)}")
     return 0
 

@@ -33,8 +33,9 @@ class Phase1Config:
     induction_scope: str = SCOPE_FLANKING
 
     def validate(self) -> None:
-        if self.n_games < 1 or self.n_games_baseline < 1:
-            raise ConfigError("game budgets must be >= 1")
+        for key, games in (("games", self.n_games), ("baseline_games", self.n_games_baseline)):
+            if games < 1:
+                raise ConfigError(f"phase1 {key} must be >= 1, got {games}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and positive, got {self.tau}")
         if self.induction_scope not in (SCOPE_FLANKING, SCOPE_ALL_PAIRS):

@@ -28,13 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import check_keys, integer, read, read_text, real, required
-from .errors import (
-    ConfigError,
-    DcaError,
-    ElementNotFoundError,
-    OracleIOError,
-    ReplayMissError,
-)
+from .errors import ConfigError, DcaError, OracleIOError, ReplayMissError
 from .perm import Assignment, as_assignment, format_assignment, parse_assignment, rank_of
 
 REPLAY_HEADER = "# dca-replay v1"
@@ -202,10 +196,9 @@ class HiddenTargetLandscape:
         return -np.add.accumulate(ranks, axis=-1)[..., -1]
 
     def _check_elements(self, x: Assignment) -> None:
-        present = set(x)
-        missing = next((e for e in self.target if e not in present), None)
-        if missing is not None:
-            raise ElementNotFoundError(f"element {missing} not in assignment {format_assignment(x)}")
+        """Name the first target element, in target order, that `x` lacks; O(n**2), on a NaN total only."""
+        for e in self.target:
+            rank_of(x, e)
 
     @classmethod
     def from_config(cls, doc: dict) -> "HiddenTargetLandscape":
@@ -447,7 +440,9 @@ class SubprocessOracle(Oracle):
             if child is None:
                 child = self._idle_child(wait=True)
                 self._send(child, key)
-            self._await(child)
+            if not self._wait(lambda: child.request is None):
+                self._drop(child)
+                raise OracleIOError(f"evaluator timed out after {self.timeout}s")
         line = self._answers.pop(key)
         if not line:
             raise OracleIOError("evaluator closed its output without responding", payload=line)
@@ -470,9 +465,12 @@ class SubprocessOracle(Oracle):
     def _idle_child(self, wait: bool) -> Optional[_Child]:
         """A live child with no request in flight, spawned while the pool has room.
 
-        When every child is busy, `wait` waits for the first child's answer.
+        The lines already back are filed first. When every lane is busy,
+        `wait` waits up to `timeout` for any lane to free up; if none does,
+        the oldest child, silent on a request nobody waits for, is dropped
+        and its lane refilled.
         """
-        self._collect()
+        self._wait(lambda: False, 0)
         while True:
             idle = next((c for c in self._children if c.request is None), None)
             if idle is not None and idle.process.poll() is not None:
@@ -483,8 +481,8 @@ class SubprocessOracle(Oracle):
                 return self._spawn()
             elif not wait:
                 return None
-            else:
-                self._await(self._children[0])
+            elif not self._wait(self._lane_free):
+                self._drop(self._children[0])
 
     def _spawn(self) -> _Child:
         try:
@@ -513,21 +511,22 @@ class SubprocessOracle(Oracle):
         child.request = key
         return True
 
-    def _await(self, child: _Child) -> None:
-        """Wait for `child`'s answer, filing other children's on the way; drop it if silent for `timeout`."""
-        deadline = time.monotonic() + self.timeout
-        while child.request is not None:
+    def _wait(self, done, timeout: Optional[float] = None) -> bool:
+        """File queued output lines until `done()` holds or `timeout` (by default the oracle's) passes.
+
+        True if `done()` held. Timeout 0 files only the lines already back.
+        """
+        deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
+        while not done():
             try:
                 self._take(*self._lines.get(timeout=max(0.0, deadline - time.monotonic())))
             except queue.Empty:
-                self._drop(child)
-                raise OracleIOError(f"evaluator timed out after {self.timeout}s") from None
+                return False
+        return True
 
-    def _collect(self) -> None:
-        """File every output line already queued, without waiting."""
-        with contextlib.suppress(queue.Empty):
-            while True:
-                self._take(*self._lines.get_nowait())
+    def _lane_free(self) -> bool:
+        """Whether a lane has no request in flight, or no child."""
+        return len(self._children) < self.lanes or any(c.request is None for c in self._children)
 
     def _take(self, child: _Child, line: str) -> None:
         """File `line` as the answer to `child`'s request; "" (end of output) means the child is gone."""
@@ -547,30 +546,31 @@ class SubprocessOracle(Oracle):
         _reap([child], self.timeout)
 
     def close(self) -> None:
-        """Reap every child: an idle one gets EOF and `timeout` to exit, a busy one is killed at once.
+        """Reap every child within one `timeout`: an idle one gets EOF, a busy one is killed at once.
 
         A busy child at close holds a request sent ahead that nothing asked
         for, so its answer is not waited for.
         """
-        self._collect()  # count the failures already back
+        self._wait(lambda: False, 0)  # count the failures already back
         children, self._children = self._children, []
         _reap(children, self.timeout)
 
 
 def _reap(children: list[_Child], timeout: float) -> None:
-    """Close the children's pipes and wait for them to exit, all at once.
+    """Close the children's pipes and wait for them to exit, all within one `timeout`.
 
     A child with a request in flight is killed at once; any other gets EOF
-    and is killed if it still runs after `timeout`.
+    and is killed if it still runs when the `timeout` from now has passed.
     """
     for child in children:
         if child.request is not None:
             child.process.kill()
         with contextlib.suppress(OSError):  # a dead child's stdin may hold an unflushable request
             child.process.stdin.close()
+    deadline = time.monotonic() + timeout
     for child in children:
         try:
-            child.process.wait(timeout=timeout)
+            child.process.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             child.process.kill()
             child.process.wait()

@@ -243,13 +243,30 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class RunParts:
-    """The parts one run is wired from; the phases share one evaluator without oracle_phase2."""
+    """One run's parts, and each phase run on them; the phases share one evaluator without oracle_phase2."""
 
+    config: RunConfig
     run: RunContext
     evaluator1: CachingEvaluator
     evaluator2: CachingEvaluator
     proposer: InsertionProposer | ScriptedProposer
     acceptance_rng: np.random.Generator
+
+    def phase1(self) -> Phase1Result:
+        """Phase 1 from the config's initial assignment, on the first evaluator."""
+        return run_phase1(self.config.initial, self.evaluator1, self.config.phase1, run=self.run)
+
+    def phase2(self, start: Assignment, graph: ConstraintGraph) -> Phase2Result:
+        """Phase 2 from `start` under `graph`, on the second evaluator, proposer and acceptance draws."""
+        return run_phase2(
+            start,
+            self.evaluator2,
+            graph,
+            self.config.phase2,
+            proposer=self.proposer,
+            acceptance_rng=self.acceptance_rng,
+            run=self.run,
+        )
 
 
 @contextmanager
@@ -277,6 +294,7 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
             run.sink = TraceSink(out_dir)
         evaluator1 = CachingEvaluator(oracle1)
         yield RunParts(
+            config=cfg,
             run=run,
             evaluator1=evaluator1,
             evaluator2=evaluator1 if oracle2 is oracle1 else CachingEvaluator(oracle2),
@@ -296,20 +314,12 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
     """Phase 1 then phase 2 on the induced graph, with trace persistence."""
     with assemble(cfg, out_dir) as parts:
         started = time.perf_counter()
-        p1 = run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
+        p1 = parts.phase1()
         phase1_tests, phase1_games = parts.evaluator1.fresh_evaluations, parts.evaluator1.games_used
         # Phase 2's share of its evaluator is whatever accrues from here on.
         games_before = parts.evaluator2.games_used
         tests_before = parts.evaluator2.fresh_evaluations
-        p2 = run_phase2(
-            p1.best,
-            parts.evaluator2,
-            p1.graph,
-            cfg.phase2,
-            proposer=parts.proposer,
-            acceptance_rng=parts.acceptance_rng,
-            run=parts.run,
-        )
+        p2 = parts.phase2(p1.best, p1.graph)
     summary = ExperimentSummary(
         phase1=p1,
         phase2=p2,

@@ -91,20 +91,15 @@ def insertion_move(x: Assignment, element: int, rank: int) -> Assignment:
 
     The relative order of all other elements is preserved; the input is
     unchanged. Moving an element to its current rank returns an equal tuple.
-    One `index` scan and four tuple slices, all at C speed: O(n), with no
-    Python-level loop over the elements. At n=75 a call takes about 2.7 us,
-    against 3.2 us for filtering into a list and inserting (timeit on a
-    shared 2-vCPU Xeon VM).
+    One `index` scan in `rank_of`, which names a missing element, and four
+    tuple slices, all at C speed: O(n), with no Python-level loop over the
+    elements. At n=75 a call takes about 2.7 us, against 3.2 us for
+    filtering into a list and inserting (timeit on a shared 2-vCPU Xeon VM).
     """
     if not 1 <= rank <= len(x):
         raise InvalidRankError(f"rank {rank} out of bounds for n={len(x)}")
-    try:
-        i = x.index(element)
-    except ValueError:
-        raise ElementNotFoundError(
-            f"element {element} not in assignment {format_assignment(x)}"
-        ) from None
-    rest = x[:i] + x[i + 1:]
+    i = rank_of(x, element)
+    rest = x[: i - 1] + x[i:]
     return rest[: rank - 1] + (element,) + rest[rank - 1:]
 
 

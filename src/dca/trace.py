@@ -126,9 +126,10 @@ def _note_json(n: RankConstraint) -> str:
     )
 
 
-def trace_line(record: TraceRecord, assignment: Optional[str] = None) -> str:
+def trace_line(record: TraceRecord) -> str:
     """One trace.jsonl line: the record's JSON object, keys sorted, as json.JSONEncoder writes it.
 
+    The assignment is the row's `text`, or formatted when it has none.
     One format string per phase: a phase-1 row has no phase-2 fields, and
     `cached`/`reeval` appear only when set. The marker, decision and note
     kind words and the assignment go in verbatim, since none can hold a
@@ -138,8 +139,7 @@ def trace_line(record: TraceRecord, assignment: Optional[str] = None) -> str:
     """
     r = record
     notes = f'"annotations": [{", ".join(map(_note_json, r.annotations))}], ' if r.annotations else ""
-    if assignment is None:
-        assignment = format_assignment(r.assignment)
+    assignment = r.text or format_assignment(r.assignment)
     if r.phase != 2:
         return (
             f'{{{notes}"assignment": "{assignment}", "marker": "{r.marker}", "mean": {_number(r.mean)}, '
@@ -180,9 +180,10 @@ def _optional(value) -> str:
     return "" if value is None else repr(value)
 
 
-def csv_row(record: TraceRecord, assignment: Optional[str] = None) -> str:
+def csv_row(record: TraceRecord) -> str:
     """One trace.csv row; annotations collapse to one column, below-gate ones bracketed.
 
+    The assignment is the row's `text`, or formatted when it has none.
     The row is what csv.writer writes, by one format string; the notes
     column is built only for a row that has notes. Over the rows of an n=75
     run this takes about 0.6 us a row against 3.6 us for csv.writer (timeit
@@ -197,7 +198,7 @@ def csv_row(record: TraceRecord, assignment: Optional[str] = None) -> str:
     ) if record.annotations else ""
     return (
         f"{record.test_id},{record.phase},"
-        f"{format_assignment(record.assignment) if assignment is None else assignment},"
+        f"{record.text or format_assignment(record.assignment)},"
         f"{record.mean!r},{record.se!r},{record.n_games},{record.marker},"
         f"{_optional(record.temperature)},{_optional(record.delta)},{_optional(record.probability)},"
         f"{record.decision or ''},{notes}\n"
@@ -246,7 +247,7 @@ class TraceSink:
         at = self._offsets[-1]
         lines = []
         for record in records[start:]:
-            line = trace_line(record, record.text)
+            line = trace_line(record)
             at += len(line)
             self._offsets.append(at)
             lines.append(line)
@@ -257,7 +258,7 @@ class TraceSink:
         self._jsonl.close()
         with self._csv:
             self._csv.write(CSV_HEADER)
-            self._csv.writelines(csv_row(r, r.text) for r in self._records)
+            self._csv.writelines(map(csv_row, self._records))
 
 
 @dataclass

@@ -541,6 +541,77 @@ class TestSubprocessOracle:
         assert child.returncode is not None and not oracle._children
         assert oracle.restarts == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_silent_requests_sent_ahead_do_not_fail_another_evaluate(self, workers):
+        hangs_on_999 = (
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['games'] == 999:\n"
+            "        time.sleep(60)\n"
+            "    print(json.dumps({'mean': -1.0, 'se': 0.05, 'n': 5}), flush=True)\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", hangs_on_999], timeout=1.0, workers=workers)
+        try:
+            silent = [(1, 2, 3), (3, 2, 1)][: oracle.lanes]
+            assert all(oracle.prefetch(x, 999) for x in silent)  # every lane busy
+            started = time.perf_counter()
+            assert oracle.evaluate((2, 1, 3), 5).mean == -1.0  # a lane refilled after `timeout`
+            assert 1.0 <= time.perf_counter() - started < 5.0
+            assert oracle.restarts == 1 and len(oracle._children) == oracle.lanes
+        finally:
+            oracle.close()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="lanes are capped at the CPU count")
+    def test_close_waits_one_timeout_for_all_children_that_ignore_eof(self):
+        # Answers every request, then outlives the EOF on its input.
+        lingers = (
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps({'mean': -1.0, 'se': 0.05, 'n': 5}), flush=True)\n"
+            "time.sleep(30)\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", lingers], timeout=1.0, workers=2)
+        assert oracle.prefetch((1, 2), 5) and oracle.prefetch((2, 1), 5)
+        assert oracle.evaluate((1, 2), 5).mean == oracle.evaluate((2, 1), 5).mean == -1.0
+        children = [c.process for c in oracle._children]
+        assert len(children) == 2 and oracle.restarts == 0
+        started = time.perf_counter()
+        oracle.close()
+        assert time.perf_counter() - started < 1.6
+        assert all(child.returncode is not None for child in children)
+
+    def test_a_child_that_closed_its_input_fails_the_send(self, tmp_path):
+        # Answers one request, closes its input, then leaves a file named by its pid and lingers.
+        closes = (
+            "import json, os, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'mean': -1.0, 'se': 0.05, 'n': 5}), flush=True)\n"
+            "os.close(0)\n"
+            f"open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w').close()\n"
+            "time.sleep(30)\n"
+        )
+        oracle = SubprocessOracle([sys.executable, "-c", closes], timeout=10, workers=1)
+
+        def answered_then_closed(x):
+            assert oracle.evaluate(x, 5).mean == -1.0
+            [child] = oracle._children
+            deadline = time.monotonic() + 10
+            while not (tmp_path / str(child.process.pid)).exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            return child.process
+
+        try:
+            first = answered_then_closed((1, 2, 3))
+            assert not oracle.prefetch((2, 1, 3), 5)
+            assert oracle.restarts == 1 and not oracle._children and first.returncode is not None
+            answered_then_closed((3, 2, 1))
+            with pytest.raises(OracleIOError, match="evaluator pipe failed"):
+                oracle.evaluate((2, 1, 3), 5)
+            assert oracle.restarts == 2 and not oracle._children
+        finally:
+            oracle.close()
+
     def test_request_golden_serialization(self):
         line = encode_request((2, 1), 10, 7)
         assert line == '{"assignment":[2,1],"games":10,"seed":7}'

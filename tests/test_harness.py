@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shutil
+import sys
 from dataclasses import fields
 from itertools import permutations
 
@@ -15,14 +17,22 @@ from hypothesis import strategies as st
 import dca.harness
 
 from dca.cli import main
+import numpy as np
+
+from dca.annealer import InsertionProposer
 from dca.constraints import ConstraintGraph, RankConstraint, count_linear_extensions
-from dca.errors import ConfigError, IncompatibleAssignmentsError, ReplayMissError
-from dca.evaluation import HiddenTargetLandscape, ReplayOracle
+from dca.errors import ConfigError, DcaError, IncompatibleAssignmentsError, ReplayMissError
+from dca.evaluation import HiddenTargetLandscape, ReplayOracle, SyntheticOracle, format_mean
 from dca.harness import (
+    FIXTURE_MOVES,
     FIXTURE_TABLE1_2,
     FIXTURE_TABLE3,
     REPLAY_MASTER_SEED,
+    TABLE_PHASE2_BEST,
+    TABLE_PHASE2_MEAN,
+    TABLE_X0,
     RunConfig,
+    assemble,
     brute_force_optimum,
     derive_seed,
     graph_from_trace,
@@ -108,6 +118,64 @@ class TestRunConfig:
         cfg.oracle = {"kind": "mystery"}
         with pytest.raises(ConfigError, match="oracle kind"):
             run_experiment(cfg)
+
+
+# Settings refused before a run's first oracle request: (section, key, value, message).
+REFUSED_SETTINGS = {
+    "phase2-games-zero": ("phase2", "games", 0, "phase2 games must be >= 1, got 0"),
+    "pool-size-zero": ("phase2", "pool_size", 0, "phase2 pool_size must be >= 1, got 0"),
+    "steps-zero": ("phase2", "steps", 0, "step count must be >= 1, got 0"),
+    "phase1-games-zero": ("phase1", "games", 0, "phase1 games must be >= 1, got 0"),
+    "baseline-games-zero": ("phase1", "baseline_games", 0, "phase1 baseline_games must be >= 1, got 0"),
+    "scope-both": ("phase1", "induction_scope", "both", "unknown induction scope 'both'"),
+    "phase1-number": (None, "phase1", 3, "phase1 section must be an object, got 3"),
+    "games-list": ("phase1", "games", [1000], "phase1 games [1000] is not a number"),
+    "initial-one": (None, "initial", [1], "assignment needs at least 2 elements, got 1"),
+    "initial-zero": (None, "initial", [0, 1, 2], "element identifiers must be positive: (0, 1, 2)"),
+    "script-blank": ("phase2", "script_moves", "blank.moves", "scripted move file holds no assignments"),
+}
+
+
+@pytest.mark.parametrize("section, key, value, message", REFUSED_SETTINGS.values(), ids=REFUSED_SETTINGS)
+def test_a_refused_setting_fails_before_any_oracle_request(section, key, value, message, tmp_path, monkeypatch):
+    # The evaluator leaves a file behind if it is ever started, which the first request would do.
+    started = tmp_path / "started"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blank.moves").write_text("\n  \n\n")
+    doc = {
+        "initial": "4 3 2 1",
+        "seed": 1,
+        "oracle": {"kind": "subprocess", "cmd": [sys.executable, "-c", f"open({str(started)!r}, 'w')"]},
+        "phase1": {"games": 10},
+        "phase2": {"games": 10, "steps": 2},
+    }
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(DcaError, match=re.escape(message)):
+        with assemble(RunConfig.from_dict(doc)) as parts:
+            parts.phase1()
+    assert not started.exists()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: InsertionProposer(np.random.default_rng(0), 0), ConfigError,
+            "pool size must be >= 1, got 0", id="proposer-pool",
+        ),
+        pytest.param(
+            lambda: SyntheticOracle(HiddenTargetLandscape((1, 2), {1: 1.0, 2: 1.0}), 0).evaluate((1, 2), 0),
+            ConfigError, "n_games must be >= 1, got 0", id="synthetic-games",
+        ),
+        pytest.param(
+            lambda: count_linear_extensions(ConstraintGraph(), range(1, 22)), IncompatibleAssignmentsError,
+            "extension counting capped at 20 elements, got 21", id="extensions-21",
+        ),
+    ],
+)
+def test_an_out_of_range_argument_is_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestSeedDerivation:
@@ -470,6 +538,25 @@ class TestReplayVerify:
         (fixtures / FIXTURE_TABLE1_2).write_text("# dca-replay v1\n")
         with pytest.raises(ConfigError):
             replay_verify(fixtures)
+
+    def test_the_paper_replay_runs_from_one_json_document(self, tmp_path):
+        fixtures = packaged_fixtures_dir()
+        doc = {
+            "initial": TABLE_X0,
+            "seed": REPLAY_MASTER_SEED,
+            "oracle": {"kind": "replay", "path": str(fixtures / FIXTURE_TABLE1_2)},
+            "oracle_phase2": {"kind": "replay", "path": str(fixtures / FIXTURE_TABLE3)},
+            "phase2": {"script_moves": str(fixtures / FIXTURE_MOVES)},
+        }
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(doc))
+        cfg = RunConfig.from_json_file(path)
+        assert cfg.phase2.script_moves == fixtures / FIXTURE_MOVES
+        summary = run_experiment(cfg)
+        assert " ".join(map(str, summary.best)) == TABLE_PHASE2_BEST
+        assert format_mean(summary.best_mean) == TABLE_PHASE2_MEAN == "-2.95471"
+        doc["phase2"]["script_moves"] = ""
+        assert RunConfig.from_dict(doc).phase2.script_moves is None
 
     def test_pinned_master_seed_reproduces_the_printed_decisions(self):
         cfg = paper_replay_config()
