@@ -342,45 +342,54 @@ class PoolOracle(Oracle):
 
 
 class ReplayOracle(Oracle):
-    """Pinned assignment -> (mean, se, n) table, returned verbatim; unknown assignments fail hard."""
+    """Pinned (assignment, games) -> (mean, se, n) table, returned verbatim; unknown keys fail hard.
 
-    def __init__(self, records: dict[str, FitnessEstimate], path: Optional[Path] = None):
+    A row answers only the game count it was recorded at, its `n`.
+    """
+
+    def __init__(self, records: dict[tuple[str, int], FitnessEstimate], source: str = "<records>"):
         self.records = records
-        self.path = path
+        self.source = source
 
     @classmethod
-    def load(cls, path: str | Path) -> "ReplayOracle":
-        """The oracle of the replay file at `path`."""
-        path = Path(path)
-        lines = read_text(path, "replay fixture").splitlines()
-        if not lines or lines[0].strip() != REPLAY_HEADER:
-            raise ConfigError(f"{path}: missing replay header {REPLAY_HEADER!r}")
-        records: dict[str, FitnessEstimate] = {}
-        for number, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, mean_s, se_s, n_s = (part.strip() for part in line.split("|"))
-                est = FitnessEstimate(mean=float(mean_s), se=float(se_s), n_games=int(n_s))
-                key = format_assignment(parse_assignment(key))
-            except (ValueError, DcaError) as err:
-                raise ConfigError(f"{path}:{number}: unparseable replay line {raw!r}: {err}") from err
-            problem = untrustworthy(est)
-            if problem:
-                raise ConfigError(f"{path}:{number}: replay row has {problem}")
-            if key in records:
-                raise ConfigError(f"{path}:{number}: assignment {key!r} appears more than once")
-            records[key] = est
-        if not records:
-            raise ConfigError(f"{path}: replay fixture holds no records")
-        return cls(records, path)
+    def load(cls, *paths: str | Path) -> "ReplayOracle":
+        """The oracle of the replay files at `paths`, read in order into one table."""
+        records: dict[tuple[str, int], FitnessEstimate] = {}
+        for path in map(Path, paths):
+            lines = read_text(path, "replay fixture").splitlines()
+            if not lines or lines[0].strip() != REPLAY_HEADER:
+                raise ConfigError(f"{path}: missing replay header {REPLAY_HEADER!r}")
+            held = len(records)
+            for number, raw in enumerate(lines[1:], start=2):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    text, mean_s, se_s, n_s = (part.strip() for part in line.split("|"))
+                    est = FitnessEstimate(mean=float(mean_s), se=float(se_s), n_games=int(n_s))
+                    text = format_assignment(parse_assignment(text))
+                except (ValueError, DcaError) as err:
+                    raise ConfigError(f"{path}:{number}: unparseable replay line {raw!r}: {err}") from err
+                problem = untrustworthy(est)
+                if problem:
+                    raise ConfigError(f"{path}:{number}: replay row has {problem}")
+                key = (text, est.n_games)
+                if key in records:
+                    raise ConfigError(
+                        f"{path}:{number}: assignment {text!r} appears more than once at {est.n_games} games"
+                    )
+                records[key] = est
+            if len(records) == held:
+                raise ConfigError(f"{path}: replay fixture holds no records")
+        return cls(records, ", ".join(map(str, paths)))
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
-        key = format_assignment(x)
-        est = self.records.get(key)
+        text = format_assignment(x)
+        est = self.records.get((text, n_games))
         if est is None:
-            raise ReplayMissError(f"assignment {key!r} absent from replay fixture {self.path}")
+            raise ReplayMissError(
+                f"assignment {text!r} at {n_games} games absent from replay fixture {self.source}"
+            )
         return est
 
 

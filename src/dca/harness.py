@@ -101,7 +101,11 @@ def build_oracle(spec: dict, seed: int) -> Oracle:
         return SyntheticOracle(HiddenTargetLandscape.from_config(spec), seed=seed)
     if kind == "replay":
         check_keys(spec, {"kind", "path"}, "replay oracle spec")
-        return ReplayOracle.load(required(spec, "path", "replay oracle spec"))
+        path = required(spec, "path", "replay oracle spec")
+        paths = [path] if isinstance(path, str) else path
+        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+            raise ConfigError(f"replay path must be a path or a non-empty list of paths, got {path!r}")
+        return ReplayOracle.load(*paths)
     if kind == "pool":
         check_keys(spec, {"kind", "members"}, "pool oracle spec")
         members = spec.get("members", [])
@@ -163,7 +167,6 @@ class RunConfig:
     initial: Assignment
     seed: int
     oracle: dict
-    oracle_phase2: Optional[dict] = None
     phase1: Phase1Config = field(default_factory=Phase1Config)
     phase2: Phase2Config = field(default_factory=Phase2Config)
 
@@ -176,7 +179,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """The run config of a JSON document; an absent optional key keeps its field's default."""
-        check_keys(doc, {"initial", "seed", "oracle", "oracle_phase2", "phase1", "phase2"}, "run config")
+        check_keys(doc, {"initial", "seed", "oracle", "phase1", "phase2"}, "run config")
         p1, p2 = doc.get("phase1", {}), doc.get("phase2", {})
         check_keys(p1, _PHASE1_KEYS, "phase1 section")
         check_keys(p2, _PHASE2_KEYS, "phase2 section")
@@ -184,7 +187,6 @@ class RunConfig:
             initial=as_assignment(required(doc, "initial", "run config")),
             seed=integer(required(doc, "seed", "run config"), "seed"),
             oracle=required(doc, "oracle", "run config"),
-            oracle_phase2=doc.get("oracle_phase2"),
             phase1=Phase1Config(**read(p1, _PHASE1_KEYS, "phase1 ")),
             phase2=Phase2Config(**read(p2, _PHASE2_KEYS, "phase2 ")),
         )
@@ -243,24 +245,23 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class RunParts:
-    """One run's parts, and each phase run on them; the phases share one evaluator without oracle_phase2."""
+    """One run's parts, and each phase run on them; both phases share one evaluator."""
 
     config: RunConfig
     run: RunContext
-    evaluator1: CachingEvaluator
-    evaluator2: CachingEvaluator
+    evaluator: CachingEvaluator
     proposer: InsertionProposer | ScriptedProposer
     acceptance_rng: np.random.Generator
 
     def phase1(self) -> Phase1Result:
-        """Phase 1 from the config's initial assignment, on the first evaluator."""
-        return run_phase1(self.config.initial, self.evaluator1, self.config.phase1, run=self.run)
+        """Phase 1 from the config's initial assignment."""
+        return run_phase1(self.config.initial, self.evaluator, self.config.phase1, run=self.run)
 
     def phase2(self, start: Assignment, graph: ConstraintGraph) -> Phase2Result:
-        """Phase 2 from `start` under `graph`, on the second evaluator, proposer and acceptance draws."""
+        """Phase 2 from `start` under `graph`, on the run's proposer and acceptance draws."""
         return run_phase2(
             start,
-            self.evaluator2,
+            self.evaluator,
             graph,
             self.config.phase2,
             proposer=self.proposer,
@@ -271,17 +272,14 @@ class RunParts:
 
 @contextmanager
 def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[RunParts]:
-    """Validate `cfg` and wire one run's parts; on exit close the oracles and flush the trace.
+    """Validate `cfg` and wire one run's parts; on exit close the oracle and flush the trace.
 
     With `out_dir` the run's TraceSink streams trace.jsonl there and writes trace.csv on exit.
     """
     cfg.validate()
-    oracle1 = build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle"))
-    oracle2 = oracle1
+    oracle = build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle"))
     run = RunContext()
     try:
-        if cfg.oracle_phase2 is not None:
-            oracle2 = build_oracle(cfg.oracle_phase2, derive_seed(cfg.seed, "oracle"))
         proposer: InsertionProposer | ScriptedProposer
         if cfg.phase2.script_moves:
             proposer = ScriptedProposer(load_scripted_moves(cfg.phase2.script_moves))
@@ -292,19 +290,15 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             run.sink = TraceSink(out_dir)
-        evaluator1 = CachingEvaluator(oracle1)
         yield RunParts(
             config=cfg,
             run=run,
-            evaluator1=evaluator1,
-            evaluator2=evaluator1 if oracle2 is oracle1 else CachingEvaluator(oracle2),
+            evaluator=CachingEvaluator(oracle),
             proposer=proposer,
             acceptance_rng=np.random.default_rng(derive_seed(cfg.seed, "acceptance")),
         )
     finally:
-        oracle1.close()
-        if oracle2 is not oracle1:
-            oracle2.close()
+        oracle.close()
         if run.sink is not None:
             run.checkpoint()
             run.sink.close()
@@ -315,10 +309,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
     with assemble(cfg, out_dir) as parts:
         started = time.perf_counter()
         p1 = parts.phase1()
-        phase1_tests, phase1_games = parts.evaluator1.fresh_evaluations, parts.evaluator1.games_used
-        # Phase 2's share of its evaluator is whatever accrues from here on.
-        games_before = parts.evaluator2.games_used
-        tests_before = parts.evaluator2.fresh_evaluations
+        phase1_tests, phase1_games = parts.evaluator.fresh_evaluations, parts.evaluator.games_used
         p2 = parts.phase2(p1.best, p1.graph)
     summary = ExperimentSummary(
         phase1=p1,
@@ -326,21 +317,14 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Expe
         trace=parts.run.records,
         phase1_tests=phase1_tests,
         phase1_games=phase1_games,
-        phase2_tests=parts.evaluator2.fresh_evaluations - tests_before,
-        phase2_games=parts.evaluator2.games_used - games_before,
+        phase2_tests=parts.evaluator.fresh_evaluations - phase1_tests,
+        phase2_games=parts.evaluator.games_used - phase1_games,
         wall_time_s=time.perf_counter() - started,
-        oracle=oracle_usage(parts),
+        oracle=parts.evaluator.usage(),
     )
     if out_dir is not None:
         persist_summary(summary, out_dir)
     return summary
-
-
-def oracle_usage(parts: RunParts) -> dict[str, int]:
-    """What a finished run's oracles were sent, requests sent ahead and never used included."""
-    shared = parts.evaluator2 is parts.evaluator1
-    usages = [e.usage() for e in ([parts.evaluator1] if shared else [parts.evaluator1, parts.evaluator2])]
-    return {key: sum(u[key] for u in usages) for key in usages[0]}
 
 
 def persist_summary(summary: ExperimentSummary, out_dir: str | Path) -> None:
@@ -415,17 +399,15 @@ def brute_force_optimum(
 def paper_replay_config(fixtures_dir: Optional[str | Path] = None) -> RunConfig:
     """The pinned two-phase configuration that replays the shipped tables."""
     fixtures = Path(fixtures_dir) if fixtures_dir is not None else packaged_fixtures_dir()
-    table12 = fixtures / FIXTURE_TABLE1_2
-    table3 = fixtures / FIXTURE_TABLE3
+    tables = [fixtures / FIXTURE_TABLE1_2, fixtures / FIXTURE_TABLE3]
     moves = fixtures / FIXTURE_MOVES
-    for path in (table12, table3, moves):
+    for path in (*tables, moves):
         if not path.exists():
             raise ConfigError(f"missing replay fixture {path}")
     return RunConfig(
         initial=parse_assignment(TABLE_X0),
         seed=REPLAY_MASTER_SEED,
-        oracle={"kind": "replay", "path": str(table12)},
-        oracle_phase2={"kind": "replay", "path": str(table3)},
+        oracle={"kind": "replay", "path": [str(path) for path in tables]},
         phase2=Phase2Config(script_moves=moves),
     )
 
@@ -472,13 +454,13 @@ def replay_verify(fixtures_dir: Optional[str | Path] = None) -> ReplayReport:
         ("phase-2 mean", format_mean(p2.best_estimate.mean), TABLE_PHASE2_MEAN),
     )
     # Every trace row must carry the packaged transcription bit-exactly.
+    fixtures = packaged_fixtures_dir()
     printed = {
-        (phase, key): f"{format_mean(e.mean)}/{format_se(e.se)}"
-        for phase, name in ((1, FIXTURE_TABLE1_2), (2, FIXTURE_TABLE3))
-        for key, e in ReplayOracle.load(packaged_fixtures_dir() / name).records.items()
+        key: f"{format_mean(e.mean)}/{format_se(e.se)}"
+        for key, e in ReplayOracle.load(fixtures / FIXTURE_TABLE1_2, fixtures / FIXTURE_TABLE3).records.items()
     }
     rows = [
-        (r.test_id, (r.phase, format_assignment(r.assignment)), f"{format_mean(r.mean)}/{format_se(r.se)}")
+        (r.test_id, (format_assignment(r.assignment), r.n_games), f"{format_mean(r.mean)}/{format_se(r.se)}")
         for r in summary.trace
     ]
 
@@ -506,7 +488,7 @@ def replay_verify(fixtures_dir: Optional[str | Path] = None) -> ReplayReport:
         for r, consistent in outliers if abs(r.probability - consistent) > PROBABILITY_TOL
     ] + [
         f"test {i} value {value} drifted from the transcription" if key in printed
-        else f"test {i} evaluated unexpected assignment {key[1]}"
+        else f"test {i} evaluated unexpected assignment {key[0]} at {key[1]} games"
         for i, key, value in rows if printed.get(key) != value
     ]
     return ReplayReport(

@@ -501,8 +501,7 @@ def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
     doc = {
         "initial": "11 2 3 10 9 6 4 5 7 8",
         "seed": 5,
-        "oracle": {"kind": "replay", "path": str(fixtures / "table1_2.replay")},
-        "oracle_phase2": {"kind": "replay", "path": str(fixtures / "table3.replay")},
+        "oracle": {"kind": "replay", "path": [str(fixtures / name) for name in ("table1_2.replay", "table3.replay")]},
     }
     config = tmp_path / "replay.json"
     config.write_text(json.dumps(doc))

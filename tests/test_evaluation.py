@@ -268,13 +268,23 @@ class TestReplayOracle:
         with pytest.raises(ReplayMissError, match="1 2 3 4 5 6 7 8 9 10"):
             oracle.evaluate(parse_assignment("1 2 3 4 5 6 7 8 9 10"), 1000)
 
+    def test_a_row_answers_only_its_own_game_count(self, fixtures_dir):
+        # The phase-1 winner is in both tables: at 1000 games in one and 16000 in the other.
+        x = parse_assignment("2 3 5 4 8 10 11 9 6 7")
+        both = ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2, fixtures_dir / FIXTURE_TABLE3)
+        assert (both.evaluate(x, 1000).mean, both.evaluate(x, 16000).mean) == (-3.12261, -3.14496)
+        for oracle, games in ((both, 2000), (ReplayOracle.load(fixtures_dir / FIXTURE_TABLE1_2), 16000)):
+            message = f"assignment '2 3 5 4 8 10 11 9 6 7' at {games} games absent from replay fixture"
+            with pytest.raises(ReplayMissError, match=f"^{message}"):
+                oracle.evaluate(x, games)
+
     def test_every_fixture_row_round_trips_bit_exactly(self, fixtures_dir):
         for name in (FIXTURE_TABLE1_2, FIXTURE_TABLE3):
             path = fixtures_dir / name
             oracle = ReplayOracle.load(path)
             for raw in path.read_text().splitlines()[1:]:
-                key, mean_s, se_s, _ = (part.strip() for part in raw.split("|"))
-                est = oracle.evaluate(parse_assignment(key), 0)
+                key, mean_s, se_s, n_s = (part.strip() for part in raw.split("|"))
+                est = oracle.evaluate(parse_assignment(key), int(n_s))
                 assert format_mean(est.mean) == mean_s
                 assert format_se(est.se) == se_s
 
@@ -315,6 +325,17 @@ class TestReplayOracle:
         bad.write_text("# dca-replay v1\n1 2 3 | -1.0 | 0.1 | 10\n2 1 3 | -2.0 | 0.1 | 10\n1  2 3 | -3.0 | 0.1 | 10\n")
         with pytest.raises(ConfigError, match="'1 2 3' appears more than once"):
             ReplayOracle.load(bad)
+
+    def test_a_row_repeated_across_files_at_one_game_count_is_rejected_naming_its_file_and_line(self, tmp_path):
+        first, second = tmp_path / "first.replay", tmp_path / "second.replay"
+        first.write_text("# dca-replay v1\n1 2 3 | -1.0 | 0.1 | 10\n")
+        second.write_text("# dca-replay v1\n1 2 3 | -2.0 | 0.1 | 20\n# a comment\n1  2 3 | -3.0 | 0.1 | 10\n")
+        message = f"{second}:4: assignment '1 2 3' appears more than once at 10 games"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ReplayOracle.load(first, second)
+        # The same assignment at another game count is a row of its own.
+        second.write_text("# dca-replay v1\n1 2 3 | -2.0 | 0.1 | 20\n")
+        assert set(ReplayOracle.load(first, second).records) == {("1 2 3", 10), ("1 2 3", 20)}
 
     @pytest.mark.parametrize(
         "assignment, problem",

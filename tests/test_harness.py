@@ -83,14 +83,15 @@ class TestRunConfig:
         for part in (cfg.phase1, cfg.phase2):
             for f in fields(part):
                 assert getattr(part, f.name) == f.default, f"{type(part).__name__}.{f.name}"
-        assert cfg.oracle_phase2 is None
 
     def test_unknown_top_level_key_is_an_error(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            RunConfig.from_dict(
-                {"initial": "1 2", "seed": 1, "oracle": {"kind": "exact", "target": "1 2"},
-                 "phases": {}}
-            )
+        # Both phases run on the one `oracle`; a second oracle slot is refused like any stray key.
+        for key in ("phases", "oracle_phase2"):
+            with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+                RunConfig.from_dict(
+                    {"initial": "1 2", "seed": 1, "oracle": {"kind": "exact", "target": "1 2"},
+                     key: {}}
+                )
 
     def test_unknown_section_key_is_an_error(self):
         with pytest.raises(ConfigError, match="phase2"):
@@ -111,6 +112,17 @@ class TestRunConfig:
         # The oracle spec is also broken; validation must trip first.
         cfg.oracle = {"kind": "replay", "path": "/nonexistent.replay"}
         with pytest.raises(ConfigError, match="temperature"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "path", [5, None, [], ["table.replay", 5], {"table": "table.replay"}],
+        ids=["number", "null", "empty-list", "list-with-a-number", "object"],
+    )
+    def test_a_replay_path_that_is_not_a_path_or_a_list_of_paths_is_refused(self, path):
+        cfg = synthetic_config()
+        cfg.oracle = {"kind": "replay", "path": path}
+        message = f"replay path must be a path or a non-empty list of paths, got {path!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_experiment(cfg)
 
     def test_unknown_oracle_kind(self):
@@ -544,8 +556,7 @@ class TestReplayVerify:
         doc = {
             "initial": TABLE_X0,
             "seed": REPLAY_MASTER_SEED,
-            "oracle": {"kind": "replay", "path": str(fixtures / FIXTURE_TABLE1_2)},
-            "oracle_phase2": {"kind": "replay", "path": str(fixtures / FIXTURE_TABLE3)},
+            "oracle": {"kind": "replay", "path": [str(fixtures / name) for name in (FIXTURE_TABLE1_2, FIXTURE_TABLE3)]},
             "phase2": {"script_moves": str(fixtures / FIXTURE_MOVES)},
         }
         path = tmp_path / "replay.json"

@@ -161,7 +161,7 @@ class TestTraceSink:
         })
         with pytest.raises(OracleIOError, match="evaluator gone"):
             with assemble(cfg, tmp_path) as parts:
-                run_phase1(cfg.initial, parts.evaluator1, cfg.phase1, run=parts.run)
+                run_phase1(cfg.initial, parts.evaluator, cfg.phase1, run=parts.run)
         records = parts.run.records
         # The baseline and 19 probes, over more than one sweep, and no phase-2 row.
         assert len(records) == 20 and {r.phase for r in records} == {1}
