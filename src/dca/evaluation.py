@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import os
-import queue
+import select
 import subprocess
 import threading
 import time
@@ -75,9 +75,9 @@ def format_se(value: float) -> str:
 
 
 def _digits(key):
-    """A JSON object key, always a string, as the int it spells; any other key as it is."""
+    """A JSON object key, always a string, as the int `str` writes that way; any other key as it is."""
     try:
-        return int(key) if isinstance(key, str) else key
+        return int(key) if isinstance(key, str) and str(int(key)) == key else key
     except ValueError:
         return key
 
@@ -394,13 +394,12 @@ class ReplayOracle(Oracle):
 
 
 class _Child:
-    """One evaluator process, its request in flight, and the daemon thread that queues its output lines."""
+    """One evaluator process, its request in flight, and the start of an output line read so far."""
 
-    def __init__(self, process: subprocess.Popen, lines: "queue.SimpleQueue[tuple[_Child, str]]"):
+    def __init__(self, process: subprocess.Popen):
         self.process = process
         self.request: Optional[tuple[Assignment, int]] = None
-        self.reader = threading.Thread(target=_pump_lines, args=(self, lines), daemon=True)
-        self.reader.start()
+        self.partial = b""
 
 
 class SubprocessOracle(Oracle):
@@ -412,8 +411,8 @@ class SubprocessOracle(Oracle):
     `lanes` children run at once (`workers`: by default two, never more than
     the CPU count), with one request in flight each. The first request spawns
     the first child; `prefetch` spawns another only when every child is busy.
-    Each child gets one daemon thread that queues its output lines, tagged
-    with the child, on one queue shared by the pool. `evaluate` takes an
+    The calling thread reads the children's pipes with one `poll` (POSIX
+    only); output nobody waits for stays in its pipe. `evaluate` takes an
     answer already back or waits at most `timeout` seconds for it; answers
     that come back meanwhile are kept until asked for. A child that dies or
     goes silent is reaped and counted in `restarts`; its failure is an
@@ -425,7 +424,7 @@ class SubprocessOracle(Oracle):
     ):
         if not (isinstance(cmd, (list, tuple)) and cmd and all(isinstance(a, str) for a in cmd)):
             raise ConfigError(f"subprocess oracle needs a non-empty list of strings as cmd, got {cmd!r}")
-        if not 0 < timeout <= threading.TIMEOUT_MAX:  # the longest wait a queue or a thread takes
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # the longest wait Python's blocking calls accept
             raise ConfigError(
                 f"subprocess timeout must be finite and positive, <= {threading.TIMEOUT_MAX}, got {timeout}"
             )
@@ -439,7 +438,6 @@ class SubprocessOracle(Oracle):
         self.lanes = min(workers, cpus)
         self.restarts = 0
         self._children: list[_Child] = []
-        self._lines: "queue.SimpleQueue[tuple[_Child, str]]" = queue.SimpleQueue()
         self._answers: dict[tuple[Assignment, int], str] = {}
 
     def evaluate(self, x: Assignment, n_games: int) -> FitnessEstimate:
@@ -504,7 +502,7 @@ class SubprocessOracle(Oracle):
             )
         except OSError as err:  # a missing or non-executable program, say
             raise OracleIOError(f"cannot start evaluator {self.cmd}: {err}") from err
-        child = _Child(process, self._lines)
+        child = _Child(process)
         self._children.append(child)
         return child
 
@@ -521,17 +519,35 @@ class SubprocessOracle(Oracle):
         return True
 
     def _wait(self, done, timeout: Optional[float] = None) -> bool:
-        """File queued output lines until `done()` holds or `timeout` (by default the oracle's) passes.
+        """File the children's output lines until `done()` holds or `timeout` (by default the oracle's) passes.
 
-        True if `done()` held. Timeout 0 files only the lines already back.
+        True if `done()` held. The wait ends at its deadline even while
+        output keeps arriving; timeout 0 files only the output already back.
         """
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
         while not done():
-            try:
-                self._take(*self._lines.get(timeout=max(0.0, deadline - time.monotonic())))
-            except queue.Empty:
-                return False
+            pipes, poller = {child.process.stdout.fileno(): child for child in self._children}, select.poll()
+            for fd in pipes:
+                poller.register(fd, select.POLLIN)
+            # `poll`, unlike `select`, takes any file number, but waits at most 2**31 - 1 ms a call.
+            for fd, _ in poller.poll(min(max(0.0, deadline - time.monotonic()) * 1e3, 2**31 - 1)):
+                self._read(pipes[fd])
+            if time.monotonic() >= deadline:
+                return done()
         return True
+
+    def _read(self, child: _Child) -> None:
+        """File each whole line `child` has written; at end of output, a last line without its end, then ""."""
+        chunk = os.read(child.process.stdout.fileno(), 1 << 16)
+        *lines, child.partial = (child.partial + chunk).split(b"\n")
+        for line in [line + b"\n" for line in lines] + ([] if chunk else [child.partial, b""]):
+            try:
+                text = line.decode()
+            except UnicodeDecodeError:  # filed as end of output is
+                text = ""
+            self._take(child, text)
+            if not text:
+                return
 
     def _lane_free(self) -> bool:
         """Whether a lane has no request in flight, or no child."""
@@ -539,8 +555,6 @@ class SubprocessOracle(Oracle):
 
     def _take(self, child: _Child, line: str) -> None:
         """File `line` as the answer to `child`'s request; "" (end of output) means the child is gone."""
-        if child not in self._children:
-            return  # a dropped child's leftover
         if child.request is not None:
             self._answers[child.request], child.request = line, None
         if not line:
@@ -583,22 +597,7 @@ def _reap(children: list[_Child], timeout: float) -> None:
         except subprocess.TimeoutExpired:
             child.process.kill()
             child.process.wait()
-        # The reaped child's end of the pipe is closed, so its reader is at EOF.
-        child.reader.join(timeout)
         child.process.stdout.close()
-
-
-def _pump_lines(child: _Child, lines: "queue.SimpleQueue[tuple[_Child, str]]") -> None:
-    """Queue every line of `child`'s output, then "" at EOF; one such thread runs per child.
-
-    The "" is queued even when reading fails (say, on undecodable output), so
-    the waiting `evaluate` reports a closed stream at once instead of a timeout.
-    """
-    try:
-        for line in child.process.stdout:
-            lines.put((child, line))
-    finally:
-        lines.put((child, ""))
 
 
 def encode_request(x: Assignment, n_games: int, seed: int) -> str:

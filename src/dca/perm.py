@@ -32,8 +32,8 @@ def as_assignment(order: Sequence[int] | str) -> Assignment:
     if isinstance(order, str):
         order = order.split()
     try:
-        if any(map(not_an_int, order)):  # int() would read True as 1 and 4.7 as 4
-            raise TypeError("an element id is an integer")
+        if any(not_an_int(e) or isinstance(e, str) and str(int(e)) != e for e in order):
+            raise TypeError("an element id is an int or its text as `str` writes it: not True, 4.7 or '1_0'")
         x = tuple(int(e) for e in order)
     except (TypeError, ValueError) as err:
         raise IncompatibleAssignmentsError(f"unparseable assignment {order!r}") from err

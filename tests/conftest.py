@@ -31,14 +31,12 @@ def fixtures_dir():
 def write_replay():
     """A writer of replay files: records to a path, one row a record at its estimate's game count.
 
-    A key is a serialized assignment, or (serialized assignment, games) as `ReplayOracle.records`
-    keys it.
+    A key is (serialized assignment, games), as `ReplayOracle.records` keys it.
     """
 
     def write(records, path):
         lines = [
-            f"{key if isinstance(key, str) else key[0]} | {format_mean(e.mean)} | {format_se(e.se)} | {e.n_games}"
-            for key, e in records.items()
+            f"{text} | {format_mean(e.mean)} | {format_se(e.se)} | {e.n_games}" for (text, _), e in records.items()
         ]
         Path(path).write_text("\n".join([REPLAY_HEADER, *lines]) + "\n")
 

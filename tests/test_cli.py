@@ -152,7 +152,7 @@ def test_phase_commands_close_their_oracle(
     if fails:
         # A fixture holding neither command's first assignment fails at once.
         fixture = tmp_path / "other.replay"
-        write_replay({"1 2 3 4": FitnessEstimate(0.0, 0.1, 10)}, fixture)
+        write_replay({("1 2 3 4", 10): FitnessEstimate(0.0, 0.1, 10)}, fixture)
         doc = json.loads(synthetic_config_file.read_text())
         doc["oracle"] = {"kind": "replay", "path": str(fixture)}
         synthetic_config_file.write_text(json.dumps(doc))
@@ -371,7 +371,7 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
             "timeout must be finite and positive", id="timeout-negative",
         ),
         pytest.param(
-            # Refused before any child starts: queue and thread waits take at most TIMEOUT_MAX.
+            # Refused before any child starts: Python's blocking calls wait at most TIMEOUT_MAX.
             None, "oracle", {"kind": "subprocess", "cmd": ["dca-no-such-evaluator"], "timeout": 1e300},
             "timeout must be finite and positive, <= ", id="timeout-too-large",
         ),
@@ -601,6 +601,46 @@ def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, ca
         assert f"{trace}:{2 if case == 'trace-number' else 1}: unparseable trace line" in err
     else:
         assert "No such file or directory" in err and str(path) in err
+
+
+# An element id spelled otherwise than `format_assignment` writes it, by input: the input's text, and what
+# the error says.
+SPELLED_OTHERWISE = {
+    "replay": ("# dca-replay v1\n4 3 2 +1 | -1.0 | 0.1 | 200\n", "{path}:2: unparseable replay line"),
+    "trace": (json.dumps({**ROW, "assignment": "1_0 2 3"}) + "\n", "{path}:1: unparseable trace line"),
+    "script-moves": ("4 3 1 +2\n", "{path}:1: unparseable assignment ['4', '3', '1', '+2']"),
+    "start": ("2 4 1 03", "unparseable assignment ['2', '4', '1', '03']"),
+    "initial": ("4 3 2 +1", "unparseable assignment ['4', '3', '2', '+1']"),
+    "target": ("2 4 1 \u0663", "unparseable assignment ['2', '4', '1', '\u0663']"),
+    "weights": ({"2": 1, "4": 1, "1": 1, " 3": 1}, "weight key ' 3' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", SPELLED_OTHERWISE)
+def test_an_element_id_spelled_otherwise_exits_2(case, synthetic_config_file, tmp_path, capsys):
+    value, message = SPELLED_OTHERWISE[case]
+    path = tmp_path / "input"
+    config = str(synthetic_config_file)
+    doc = json.loads(synthetic_config_file.read_text())
+    if case in ("replay", "trace", "script-moves"):
+        path.write_text(value)
+    elif case == "start":
+        path.write_text("2 < 4\n")  # the edge list phase2 needs
+    if case == "replay":
+        doc["oracle"] = {"kind": "replay", "path": str(path)}
+    elif case == "initial":
+        doc["initial"] = value
+    elif case in ("target", "weights"):
+        doc["oracle"][case] = value
+    synthetic_config_file.write_text(json.dumps(doc))
+    argv = {
+        "trace": ["export-dag", "--trace", str(path), "--out", str(tmp_path / "dag.dot")],
+        "script-moves": ["optimize", "--config", config, "--script-moves", str(path)],
+        "start": ["phase2", "--config", config, "--graph", str(path), "--start", value],
+    }.get(case, ["optimize", "--config", config])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message.format(path=path) in err and "Traceback" not in err
 
 
 def test_readme_commands_and_run_config_parse():

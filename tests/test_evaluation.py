@@ -5,16 +5,20 @@ import json
 import math
 import os
 import re
+import resource
 import statistics
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dca
 from dca.errors import (
     ConfigError,
     ElementNotFoundError,
@@ -437,13 +441,15 @@ class TestSubprocessOracle:
         finally:
             oracle.close()
 
-    def test_one_reader_thread_per_child(self):
-        oracle = SubprocessOracle([sys.executable, "-c", ECHO_EVALUATOR], timeout=10)
+    def test_the_pool_starts_no_thread(self):
+        oracle = SubprocessOracle([sys.executable, "-c", ECHO_EVALUATOR], timeout=10, workers=2)
         before = threading.active_count()
         try:
             for i in range(200):
+                oracle.prefetch((1, 2), 10 + i)
                 assert oracle.evaluate((2, 1), 10 + i).mean == -1.0
-                assert threading.active_count() <= before + 1
+                assert oracle.evaluate((1, 2), 10 + i).mean == -1.0
+                assert threading.active_count() == before
         finally:
             oracle.close()
 
@@ -462,7 +468,6 @@ class TestSubprocessOracle:
         finally:
             oracle.close()
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_undecodable_output_fails_without_waiting_for_the_timeout(self):
         garbage = "import sys\nsys.stdin.readline()\nsys.stdout.buffer.write(b'\\xff\\n')\nsys.stdout.flush()\n"
         oracle = SubprocessOracle([sys.executable, "-c", garbage], timeout=30)
@@ -473,6 +478,66 @@ class TestSubprocessOracle:
             assert time.perf_counter() - started < 10.0
         finally:
             oracle.close()
+
+    def test_an_answer_without_a_final_line_end_is_taken_when_the_child_exits(self):
+        unended = "import sys\nsys.stdin.readline()\nsys.stdout.write('{\"mean\": -1.5, \"se\": 0.25, \"n\": 64}')\n"
+        oracle = SubprocessOracle([sys.executable, "-c", unended], timeout=10)
+        try:
+            assert oracle.evaluate((2, 1), 10) == FitnessEstimate(-1.5, 0.25, 64)
+        finally:
+            oracle.close()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="lanes are capped at the CPU count")
+    def test_an_idle_child_flooding_output_does_not_hold_off_another_timeout(self):
+        # One child hangs on the 999-game request; the other answers, then writes unasked lines forever.
+        # The pool runs in a child interpreter, so a pool that never times out fails this test.
+        evaluator = (
+            "import json, sys, time\n"
+            "if json.loads(sys.stdin.readline())['games'] == 999:\n"
+            "    time.sleep(60)\n"
+            "print(json.dumps({'mean': -1.0, 'se': 0.05, 'n': 5}), flush=True)\n"
+            "while True:\n"
+            "    sys.stdout.write('log\\n' * 100000)\n"
+        )
+        pool = (
+            "import sys, time\n"
+            "from dca.errors import OracleIOError\n"
+            "from dca.evaluation import SubprocessOracle\n"
+            "oracle = SubprocessOracle([sys.executable, '-c', sys.argv[1]], timeout=1.0, workers=2)\n"
+            "assert oracle.prefetch((1, 2), 999)\n"
+            "assert oracle.evaluate((2, 1), 5).mean == -1.0\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            "    oracle.evaluate((1, 2), 999)\n"
+            "except OracleIOError as err:\n"
+            "    print(err, time.perf_counter() - started)\n"
+            "oracle.close()\n"
+        )
+        src = str(Path(dca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", pool, evaluator], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        message, waited = done.stdout.rsplit(maxsplit=1)
+        assert "timed out after 1.0s" in message and float(waited) < 2.5
+
+    @pytest.mark.skipif(resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100, reason="needs 1100 open files")
+    def test_a_pipe_numbered_past_fd_setsize_is_read(self):
+        # `select.select` refuses file numbers from FD_SETSIZE (1024) up; a process may hold that many files.
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while held[-1] < 1024:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            oracle = SubprocessOracle([sys.executable, "-c", ECHO_EVALUATOR], timeout=10)
+            try:
+                assert oracle.evaluate((2, 1), 10).mean == -1.0
+                assert all(child.process.stdout.fileno() > 1024 for child in oracle._children)
+            finally:
+                oracle.close()
+        finally:
+            for fd in held:
+                os.close(fd)
 
     def test_a_dead_child_is_reaped_before_its_replacement(self):
         one_shot = (
@@ -754,6 +819,13 @@ class TestLandscapeConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             HiddenTargetLandscape.from_config({"target": "1 2", "typo": 1})
+
+    @pytest.mark.parametrize("key", ["1_0", " 10", "+10", "010"])
+    def test_a_weight_key_is_read_only_as_str_writes_an_id(self, key):
+        with pytest.raises(ConfigError, match=f"^weight key {re.escape(repr(key))} is not a number$"):
+            HiddenTargetLandscape.from_config({"target": "1 2 10", "weights": {"1": 1, "2": 1, key: 1}})
+        landscape = HiddenTargetLandscape.from_config({"target": "1 2 10", "weights": {"1": 1, "2": 1, "10": 3}})
+        assert landscape.weights == {1: 1.0, 2: 1.0, 10: 3.0}
 
     def test_missing_weights_rejected(self):
         with pytest.raises(ConfigError):

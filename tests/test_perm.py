@@ -233,6 +233,20 @@ class TestSerialization:
         with pytest.raises(IncompatibleAssignmentsError):
             parse_assignment("1 2 x")
 
+    @pytest.mark.parametrize("text", ["1_0 2 3", "+1 2 3", "1 2 \u0663", "01 2 3", "-0 2 3"])
+    def test_an_id_is_read_only_as_format_assignment_writes_it(self, text):
+        with pytest.raises(IncompatibleAssignmentsError, match="unparseable assignment"):
+            parse_assignment(text)
+
+    def test_ids_written_as_format_assignment_writes_them_keep_their_errors(self):
+        assert as_assignment(["10", "2", "3"]) == parse_assignment("10 2 3") == (10, 2, 3)
+        with pytest.raises(ElementNotFoundError, match="must be positive"):
+            parse_assignment("-1 2 3")
+        with pytest.raises(ElementNotFoundError, match="must be positive"):
+            parse_assignment("0 2 3")
+        with pytest.raises(IncompatibleAssignmentsError, match="duplicate"):
+            parse_assignment("2 2 3")
+
     @given(st.lists(st.integers(min_value=1, max_value=10**9), max_size=50), st.booleans())
     def test_format_equals_joining_str(self, ids, as_tuple):
         x = tuple(ids) if as_tuple else ids
