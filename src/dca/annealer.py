@@ -287,7 +287,7 @@ def run_phase2(
 def load_scripted_moves(path: str | Path) -> list[Assignment]:
     """The assignments of the scripted move file at `path`; a bad line is a ConfigError naming it."""
     moves = []
-    for number, line in enumerate(read_text(path, "scripted move file").splitlines(), start=1):
+    for number, line in enumerate(read_text(path, "scripted move file").split("\n"), start=1):
         if line.strip():
             try:
                 moves.append(parse_assignment(line))

@@ -6,6 +6,7 @@ Each reports a file or a value it cannot use as a ConfigError naming the file or
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
@@ -43,11 +44,6 @@ def required(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def not_an_int(value) -> bool:
-    """A bool or a non-integral float: what an int setting rejects instead of truncating."""
-    return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
-
-
 def number(kind: type, value, what: str):
     """`value` as an int or a float: the one rule for what a config number is.
 
@@ -57,7 +53,7 @@ def number(kind: type, value, what: str):
     """
     if isinstance(value, str):  # int("3") and float("1.5") would read a string as a number
         raise ConfigError(f"{what} {value!r} is not a number")
-    if not_an_int(value) if kind is int else isinstance(value, bool):
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{what} {value!r} is not {'an integer' if kind is int else 'a number'}")
     try:
         return kind(value)
@@ -67,6 +63,18 @@ def number(kind: type, value, what: str):
 
 integer = partial(number, int)
 real = partial(number, float)
+
+
+def element_id(value, what: str) -> int:
+    """`value` as an element id: the one rule for what spells one.
+
+    An int setting's value (3.0 reads as 3), or text spelled exactly as `str`
+    writes an int: not '+1', '01', '1_0', ' 3' or '\u0663', which `int` reads.
+    """
+    with suppress(ValueError):
+        if isinstance(value, str) and str(int(value)) == value:
+            return int(value)
+    return integer(value, what)  # any other text is not a number
 
 
 def read(doc: dict, keys: dict, prefix: str) -> dict:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import IncompatibleAssignmentsError, InvalidConstraintError
+from .config import element_id
+from .errors import ConfigError, IncompatibleAssignmentsError, InvalidConstraintError
 from .perm import Assignment, Move, format_assignment
 
 
@@ -203,15 +204,14 @@ def from_edge_list_text(text: str, path: str | Path = "<edge list>") -> Constrai
     """
     g = ConstraintGraph()
     try:
-        for number, raw in enumerate(text.splitlines(), start=1):
+        for number, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             body, _, note = line.partition("#")
             try:
-                before_s, after_s = body.split("<")
-                before, after = int(before_s), int(after_s)
-            except ValueError as err:
+                before, after = (element_id(part.strip(), "element") for part in body.split("<"))
+            except (ValueError, ConfigError) as err:
                 raise InvalidConstraintError(f"unparseable edge line {raw!r}") from err
             c = RankConstraint(before, after)
             note = note.strip()

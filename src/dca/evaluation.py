@@ -27,11 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check_keys, integer, read, read_text, real, required
+from .config import check_keys, element_id, integer, read, read_text, real, required
 from .errors import ConfigError, DcaError, OracleIOError, ReplayMissError
 from .perm import Assignment, as_assignment, format_assignment, parse_assignment, rank_of
 
 REPLAY_HEADER = "# dca-replay v1"
+LINE_CAP = 1 << 20  # an evaluator's unfinished line past this many bytes is filed as end of output
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,6 @@ def format_mean(value: float) -> str:
 def format_se(value: float) -> str:
     """Fixed trace formatting for standard errors (6 decimals); zero is unsigned."""
     return _unsigned_zero(f"{value:.6f}")
-
-
-def _digits(key):
-    """A JSON object key, always a string, as the int `str` writes that way; any other key as it is."""
-    try:
-        return int(key) if isinstance(key, str) and str(int(key)) == key else key
-    except ValueError:
-        return key
 
 
 @dataclass(frozen=True)
@@ -212,7 +205,7 @@ class HiddenTargetLandscape:
         if isinstance(raw_w, (int, float)):
             weights = dict.fromkeys(target, real(raw_w, "weights"))
         elif isinstance(raw_w, dict):
-            weights = {integer(_digits(k), "weight key"): real(v, "weight") for k, v in raw_w.items()}
+            weights = {element_id(k, "weight key"): real(v, "weight") for k, v in raw_w.items()}
         elif isinstance(raw_w, (list, tuple)):
             if len(raw_w) != len(target):
                 raise ConfigError(f"{len(raw_w)} weights for a target of {len(target)} elements")
@@ -356,8 +349,8 @@ class ReplayOracle(Oracle):
         """The oracle of the replay files at `paths`, read in order into one table."""
         records: dict[tuple[str, int], FitnessEstimate] = {}
         for path in map(Path, paths):
-            lines = read_text(path, "replay fixture").splitlines()
-            if not lines or lines[0].strip() != REPLAY_HEADER:
+            lines = read_text(path, "replay fixture").split("\n")
+            if lines[0].strip() != REPLAY_HEADER:
                 raise ConfigError(f"{path}: missing replay header {REPLAY_HEADER!r}")
             held = len(records)
             for number, raw in enumerate(lines[1:], start=2):
@@ -540,7 +533,8 @@ class SubprocessOracle(Oracle):
         """File each whole line `child` has written; at end of output, a last line without its end, then ""."""
         chunk = os.read(child.process.stdout.fileno(), 1 << 16)
         *lines, child.partial = (child.partial + chunk).split(b"\n")
-        for line in [line + b"\n" for line in lines] + ([] if chunk else [child.partial, b""]):
+        end = [child.partial, b""] if not chunk else [b""] if len(child.partial) > LINE_CAP else []
+        for line in [line + b"\n" for line in lines] + end:
             try:
                 text = line.decode()
             except UnicodeDecodeError:  # filed as end of output is

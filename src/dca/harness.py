@@ -13,7 +13,7 @@ import importlib.resources
 import json
 import math
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from itertools import compress, islice, permutations
 from pathlib import Path
@@ -30,7 +30,7 @@ from .annealer import (
     run_phase2,
 )
 from .climber import Phase1Config, Phase1Result, run_phase1
-from .config import check_keys, integer, read, read_json_file, real, required
+from .config import check_keys, element_id, integer, read, read_json_file, real, required
 from .constraints import AddOutcome, ConstraintGraph, to_dot, to_edge_list_text
 from .errors import ConfigError, InvalidConstraintError
 from .evaluation import (
@@ -132,16 +132,17 @@ def _as_is(value, what: str):
 
 
 def _element_ids(value, what: str) -> Optional[list[int]]:
-    """A list of element ids, or None; a bool is not an element id."""
-    if value is not None and not (isinstance(value, list) and all(type(e) is int for e in value)):
-        raise ConfigError(f"{what} must be a list of elements, got {value!r}")
-    return value
+    """A list of element ids, or None."""
+    with suppress(ConfigError):
+        if value is None or isinstance(value, list):
+            return None if value is None else [element_id(e, what) for e in value]
+    raise ConfigError(f"{what} must be a list of elements, got {value!r}")
 
 
 def _path(value, what: str) -> Optional[Path]:
-    if value is not None and not isinstance(value, str):
+    if value is not None and not (isinstance(value, str) and value):
         raise ConfigError(f"{what} must be a path, got {value!r}")
-    return Path(value) if value else None
+    return None if value is None else Path(value)
 
 
 # Each run-config section's keys: config key -> (dataclass field, reader).

@@ -12,8 +12,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import not_an_int
-from .errors import ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
+from .config import element_id
+from .errors import ConfigError, ElementNotFoundError, IncompatibleAssignmentsError, InvalidRankError
 
 Assignment = tuple[int, ...]
 
@@ -32,10 +32,8 @@ def as_assignment(order: Sequence[int] | str) -> Assignment:
     if isinstance(order, str):
         order = order.split()
     try:
-        if any(not_an_int(e) or isinstance(e, str) and str(int(e)) != e for e in order):
-            raise TypeError("an element id is an int or its text as `str` writes it: not True, 4.7 or '1_0'")
-        x = tuple(int(e) for e in order)
-    except (TypeError, ValueError) as err:
+        x = tuple(element_id(e, "element id") for e in order)
+    except (TypeError, ConfigError) as err:
         raise IncompatibleAssignmentsError(f"unparseable assignment {order!r}") from err
     if len(x) < 2:
         raise InvalidRankError(f"assignment needs at least 2 elements, got {len(x)}")

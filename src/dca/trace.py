@@ -158,15 +158,14 @@ def trace_line(record: TraceRecord) -> str:
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """The records of a trace.jsonl; a line that is not a trace row is a ConfigError naming it."""
-    text = read_text(path, "trace")
     records = []
-    for i, line in enumerate(text.splitlines()):
+    for number, line in enumerate(read_text(path, "trace").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             records.append(TraceRecord.from_dict(json.loads(line)))
         except (ValueError, KeyError, TypeError, AttributeError, DcaError) as err:
-            raise ConfigError(f"{path}:{i + 1}: unparseable trace line") from err
+            raise ConfigError(f"{path}:{number}: unparseable trace line") from err
     return records
 
 

@@ -368,6 +368,7 @@ class TestScriptedProposer:
         [
             pytest.param("1 2 x", "unparseable assignment ['1', '2', 'x']", id="bad-id"),
             pytest.param("1 1 3", "duplicate elements in assignment (1, 1, 3)", id="repeated-element"),
+            pytest.param("2 3\f1 x", "unparseable assignment ['2', '3', '1', 'x']", id="form-feed-in-one-line"),
         ],
     )
     def test_malformed_script_line_names_the_file_and_line(self, line, problem, tmp_path):

@@ -183,6 +183,7 @@ BAD_EDGE_LISTS = {
     "self-loop": ("1 < 2\n2 < 2\n", 2, "self-loop constraint on element 2"),
     "evidence": ("1 < 2 # 1,2 gap=x thr=1\n", 1, "unparseable evidence in '1 < 2 # 1,2 gap=x thr=1'"),
     "cycle": ("1 < 2\n2 < 3\n# a comment\n\n3 < 1\n", 5, "edge line '3 < 1' closes a cycle"),
+    "separator": ("1 < 2\n# a note\fmore\n3 < x\n", 3, "unparseable edge line '3 < x'"),
 }
 
 
@@ -463,6 +464,9 @@ EXACT = {"kind": "exact", "target": "2 4 1 3"}
             None, "initial", [4, 3, 2, float("inf")], "unparseable assignment [4, 3, 2, inf]",
             id="initial-infinite",
         ),
+        pytest.param(
+            "phase2", "script_moves", "", "phase2 script_moves must be a path, got ''", id="script-moves-empty"
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(section, key, value, message, synthetic_config_file, capsys):
@@ -491,6 +495,7 @@ def test_integral_float_element_ids_read_as_ints(synthetic_config_file, capsys):
     doc = json.loads(synthetic_config_file.read_text())
     doc["initial"] = [4.0, 3.0, 2.0, 1.0]
     doc["oracle"]["target"] = [2.0, 4, 1, 3.0]
+    doc["phase1"]["element_order"] = [4.0, 3.0, 2.0, 1.0]
     synthetic_config_file.write_text(json.dumps(doc))
     assert main(["optimize", "--config", str(synthetic_config_file)]) == 0
     assert capsys.readouterr().out == expected
@@ -559,7 +564,8 @@ NOT_UTF8 = {
 
 @pytest.mark.parametrize(
     "case",
-    ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", *BAD_ROWS,
+    ["config", "script-moves", "replay-path", "landscape", "trace", "graph", "trace-number", "trace-form-feed",
+     *BAD_ROWS,
      *NOT_UTF8],
 )
 def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, capsys):
@@ -577,6 +583,8 @@ def test_unreadable_input_files_exit_2(case, synthetic_config_file, tmp_path, ca
     base = case.removesuffix("-not-utf8")
     if case == "trace-number":
         trace.write_text(json.dumps(ROW) + "\n5\n")
+    elif case == "trace-form-feed":  # JSON allows no form feed after a value
+        trace.write_text(json.dumps(ROW) + "\f\n")
     elif case in BAD_ROWS:
         trace.write_text(json.dumps(BAD_ROWS[case]) + "\n")
     elif base == "replay-path":
@@ -613,6 +621,7 @@ SPELLED_OTHERWISE = {
     "initial": ("4 3 2 +1", "unparseable assignment ['4', '3', '2', '+1']"),
     "target": ("2 4 1 \u0663", "unparseable assignment ['2', '4', '1', '\u0663']"),
     "weights": ({"2": 1, "4": 1, "1": 1, " 3": 1}, "weight key ' 3' is not a number"),
+    "graph": ("2 < +4\n", "{path}:1: unparseable edge line '2 < +4'"),
 }
 
 
@@ -622,7 +631,7 @@ def test_an_element_id_spelled_otherwise_exits_2(case, synthetic_config_file, tm
     path = tmp_path / "input"
     config = str(synthetic_config_file)
     doc = json.loads(synthetic_config_file.read_text())
-    if case in ("replay", "trace", "script-moves"):
+    if case in ("replay", "trace", "script-moves", "graph"):
         path.write_text(value)
     elif case == "start":
         path.write_text("2 < 4\n")  # the edge list phase2 needs
@@ -637,6 +646,7 @@ def test_an_element_id_spelled_otherwise_exits_2(case, synthetic_config_file, tm
         "trace": ["export-dag", "--trace", str(path), "--out", str(tmp_path / "dag.dot")],
         "script-moves": ["optimize", "--config", config, "--script-moves", str(path)],
         "start": ["phase2", "--config", config, "--graph", str(path), "--start", value],
+        "graph": ["phase2", "--config", config, "--graph", str(path), "--start", "2 4 1 3"],
     }.get(case, ["optimize", "--config", config])
     assert main(argv) == 2
     err = capsys.readouterr().err

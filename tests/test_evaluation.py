@@ -351,7 +351,7 @@ class TestReplayOracle:
     def test_malformed_assignment_rejected_naming_the_line(self, assignment, problem, tmp_path):
         bad = tmp_path / "bad.replay"
         row = f"{assignment} | -1.0 | 0.1 | 1000"
-        bad.write_text(f"# dca-replay v1\n\n2 1 3 | -2.0 | 0.1 | 10\n{row}\n")
+        bad.write_text(f"# dca-replay v1\n# a note\fwith a form feed\n2 1 3 | -2.0 | 0.1 | 10\n{row}\n")
         message = f"{bad}:4: unparseable replay line {row!r}: {problem}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ReplayOracle.load(bad)
@@ -476,6 +476,19 @@ class TestSubprocessOracle:
             with pytest.raises(OracleIOError, match="closed its output"):
                 oracle.evaluate((2, 1), 10)
             assert time.perf_counter() - started < 10.0
+        finally:
+            oracle.close()
+
+    def test_an_unfinished_line_past_the_cap_fails_without_waiting_for_the_timeout(self):
+        # The child answers with 2 MiB and no line end, then stays silent.
+        flood = "import sys, time\nsys.stdin.readline()\nsys.stdout.write('x' * (2 << 20))\nsys.stdout.flush()\n"
+        flood += "time.sleep(60)\n"
+        oracle = SubprocessOracle([sys.executable, "-c", flood], timeout=5)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(OracleIOError, match="closed its output without responding"):
+                oracle.evaluate((2, 1), 10)
+            assert time.perf_counter() - started < 2.5 and oracle.restarts == 1
         finally:
             oracle.close()
 

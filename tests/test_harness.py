@@ -567,7 +567,8 @@ class TestReplayVerify:
         assert " ".join(map(str, summary.best)) == TABLE_PHASE2_BEST
         assert format_mean(summary.best_mean) == TABLE_PHASE2_MEAN == "-2.95471"
         doc["phase2"]["script_moves"] = ""
-        assert RunConfig.from_dict(doc).phase2.script_moves is None
+        with pytest.raises(ConfigError, match="^phase2 script_moves must be a path, got ''$"):
+            RunConfig.from_dict(doc)
 
     def test_pinned_master_seed_reproduces_the_printed_decisions(self):
         cfg = paper_replay_config()
