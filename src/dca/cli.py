@@ -12,6 +12,7 @@ from .constraints import ConstraintGraph, from_edge_list_text, to_dot, to_edge_l
 from .errors import DcaError
 from .evaluation import HiddenTargetLandscape, format_mean
 from .harness import (
+    SECTION_KEYS,
     RunConfig,
     assemble,
     brute_force_optimum,
@@ -23,17 +24,17 @@ from .perm import format_assignment, parse_assignment
 from .trace import read_trace
 
 
-# Each override flag: the config section and field it sets, and its argparse keywords.
+# Each override flag: the config section and key it sets, and its argparse keywords.
 _OVERRIDES = {
-    "--games": ("phase1", "n_games", dict(type=int, help="phase-1 games per test")),
-    "--games-hi": ("phase2", "n_games_hi", dict(type=int, help="phase-2 games per test")),
+    "--games": ("phase1", "games", dict(type=int, help="phase-1 games per test")),
+    "--games-hi": ("phase2", "games", dict(type=int, help="phase-2 games per test")),
     "--tau": ("phase1", "tau", dict(type=float, help="noise-gate multiplier")),
     "--t0": ("phase2", "t0", dict(type=float, help="initial annealing temperature")),
     "--dt": ("phase2", "dt", dict(type=float, help="temperature decrement per step")),
     "--steps": ("phase2", "steps", dict(type=int, help="annealing step count")),
     "--pool-size": ("phase2", "pool_size", dict(type=int, help="candidate pool size per step")),
     "--induction-scope": ("phase1", "induction_scope", dict(choices=["flanking", "all-pairs"])),
-    "--script-moves": ("phase2", "script_moves", dict(type=Path, help="file of scripted candidate assignments")),
+    "--script-moves": ("phase2", "script_moves", dict(help="file of scripted candidate assignments")),
 }
 
 
@@ -46,10 +47,11 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for flag, (section, name, _) in _OVERRIDES.items():
+    for flag, (section, key, _) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            setattr(getattr(cfg, section), name, value)
+            name, reader = SECTION_KEYS[section][key]
+            setattr(getattr(cfg, section), name, reader(value, f"{section} {key}"))
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg

@@ -146,20 +146,23 @@ def _path(value, what: str) -> Optional[Path]:
 
 
 # Each run-config section's keys: config key -> (dataclass field, reader).
-_PHASE1_KEYS = {
-    "games": ("n_games", integer),
-    "baseline_games": ("n_games_baseline", integer),
-    "tau": ("tau", real),
-    "element_order": ("element_order", _element_ids),
-    "induction_scope": ("induction_scope", _as_is),
-}
-_PHASE2_KEYS = {
-    "games": ("n_games_hi", integer),
-    "t0": ("t0", real),
-    "dt": ("dt", real),
-    "steps": ("steps", integer),
-    "pool_size": ("pool_size", integer),
-    "script_moves": ("script_moves", _path),
+# The command-line flags of `dca.cli` go through the same readers.
+SECTION_KEYS = {
+    "phase1": {
+        "games": ("n_games", integer),
+        "baseline_games": ("n_games_baseline", integer),
+        "tau": ("tau", real),
+        "element_order": ("element_order", _element_ids),
+        "induction_scope": ("induction_scope", _as_is),
+    },
+    "phase2": {
+        "games": ("n_games_hi", integer),
+        "t0": ("t0", real),
+        "dt": ("dt", real),
+        "steps": ("steps", integer),
+        "pool_size": ("pool_size", integer),
+        "script_moves": ("script_moves", _path),
+    },
 }
 
 
@@ -182,14 +185,14 @@ class RunConfig:
         """The run config of a JSON document; an absent optional key keeps its field's default."""
         check_keys(doc, {"initial", "seed", "oracle", "phase1", "phase2"}, "run config")
         p1, p2 = doc.get("phase1", {}), doc.get("phase2", {})
-        check_keys(p1, _PHASE1_KEYS, "phase1 section")
-        check_keys(p2, _PHASE2_KEYS, "phase2 section")
+        check_keys(p1, SECTION_KEYS["phase1"], "phase1 section")
+        check_keys(p2, SECTION_KEYS["phase2"], "phase2 section")
         return cls(
             initial=as_assignment(required(doc, "initial", "run config")),
             seed=integer(required(doc, "seed", "run config"), "seed"),
             oracle=required(doc, "oracle", "run config"),
-            phase1=Phase1Config(**read(p1, _PHASE1_KEYS, "phase1 ")),
-            phase2=Phase2Config(**read(p2, _PHASE2_KEYS, "phase2 ")),
+            phase1=Phase1Config(**read(p1, SECTION_KEYS["phase1"], "phase1 ")),
+            phase2=Phase2Config(**read(p2, SECTION_KEYS["phase2"], "phase2 ")),
         )
 
     @classmethod

@@ -8,7 +8,6 @@ formats. Operations never mutate their inputs.
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,21 +100,19 @@ def insertion_move(x: Assignment, element: int, rank: int) -> Assignment:
     return rest[: rank - 1] + (element,) + rest[rank - 1:]
 
 
-class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
-    """The distinct insertion neighbours of `x` as a lazy, read-only sequence.
+class InsertionNeighborhood:
+    """The distinct insertion moves of `x`, indexed for sampling.
 
-    Entries are (move, assignment) pairs sorted by move descriptor: element
-    id, then target rank. An adjacent swap is reachable from both of its
-    elements; it is listed once, under the smaller id, so the element at
-    0-based position p has n-1 moves, less one for each neighbour with a
-    smaller id. Construction sorts the elements once and records each one's
-    offset into the order; `len` is (n-1)**2 and each lookup bisects the
-    offsets and builds one assignment, in O(n); `move_at` returns the move
-    alone, in O(log n). Iteration walks the lookups in order.
+    Moves are sorted by descriptor: element id, then target rank. An
+    adjacent swap is reachable from both of its elements; it is listed once,
+    under the smaller id, so the element at 0-based position p has n-1
+    moves, less one for each neighbour with a smaller id. Construction sorts
+    the elements once and records each one's offset into the order; `len` is
+    (n-1)**2 and `move_at` bisects the offsets, in O(log n). No assignment is
+    built: the caller builds the one it keeps with `insertion_move`.
     """
 
     def __init__(self, x: Assignment):
-        self.x = x
         n = len(x)
         # (element, 1-based from rank, lowest and highest excluded target rank)
         self._rows: list[tuple[int, int, int, int]] = []
@@ -132,13 +129,10 @@ class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
     def __len__(self) -> int:
         return self._len
 
-    def move_at(self, index: int) -> Move:
-        """The move of entry `index` alone, without building its assignment: O(log n)."""
-        i = operator.index(index)
-        if i < 0:
-            i += self._len
+    def move_at(self, i: int) -> Move:
+        """Move number `i` of the sorted moves, for 0 <= i < len: O(log n)."""
         if not 0 <= i < self._len:
-            raise IndexError(f"neighbour index {index} out of range for {self._len} entries")
+            raise IndexError(f"neighbour index {i} out of range for {self._len} entries")
         k = bisect.bisect_right(self._offsets, i) - 1
         element, from_rank, lo, hi = self._rows[k]
         to_rank = i - self._offsets[k] + 1
@@ -146,19 +140,15 @@ class InsertionNeighborhood(Sequence[tuple[Move, Assignment]]):
             to_rank += hi - lo + 1
         return Move(element, from_rank, to_rank)
 
-    def __getitem__(self, index: int) -> tuple[Move, Assignment]:
-        move = self.move_at(index)
-        return move, insertion_move(self.x, move.element, move.to_rank)
-
 
 def enumerate_insertion_neighbors(x: Assignment) -> InsertionNeighborhood:
-    """All distinct assignments one insertion move away from `x`, lazily.
+    """The moves to all distinct assignments one insertion move away from `x`.
 
     Adjacent swaps are reachable from both sides (move the left element right,
     or the right element left); each is listed once, under the smaller
-    descriptor. The identity is excluded. Entries are sorted by descriptor,
-    so the order is deterministic for seeded sampling. Building the sequence
-    costs O(n log n) and each entry O(n); iterating yields all (n-1)**2.
+    descriptor. The identity is excluded. Moves are sorted by descriptor, so
+    the order is deterministic for seeded sampling. Building the sampler
+    costs O(n log n) and each move O(log n); there are (n-1)**2 of them.
     """
     return InsertionNeighborhood(x)
 

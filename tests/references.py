@@ -11,7 +11,7 @@ from dca.climber import SweepState
 from dca.constraints import ConstraintGraph
 from dca.errors import ConfigError, ElementNotFoundError, IncompatibleAssignmentsError
 from dca.evaluation import FitnessEstimate, HiddenTargetLandscape
-from dca.perm import Assignment, format_assignment
+from dca.perm import Assignment, Move, format_assignment, insertion_move, rank_of
 from dca.trace import CSV_HEADER, TraceRecord, csv_row, trace_line
 
 
@@ -87,6 +87,25 @@ def adjacent_transposition_diff(
     if j != i + 1 or a[i] != b[j] or a[j] != b[i]:
         return None
     return (a[i], a[j]), i + 1
+
+
+def materialised_insertion_neighbors(x: Assignment) -> list[tuple[Move, Assignment]]:
+    """Every distinct insertion neighbour of `x` with its move, eagerly: every move, dedupe, sort.
+
+    An assignment reached by several moves keeps the smallest; entries are
+    sorted by move descriptor, the order `InsertionNeighborhood.move_at` indexes.
+    """
+    best = {}
+    for element in x:
+        from_rank = rank_of(x, element)
+        for to_rank in range(1, len(x) + 1):
+            if to_rank == from_rank:
+                continue
+            move = Move(element, from_rank, to_rank)
+            neighbor = insertion_move(x, element, to_rank)
+            if neighbor not in best or move < best[neighbor]:
+                best[neighbor] = move
+    return sorted(((m, a) for a, m in best.items()), key=lambda pair: pair[0])
 
 
 def reused_ranks(sweep: SweepState) -> list[int]:

@@ -37,15 +37,10 @@ from dca.harness import (
     derive_seed,
     run_experiment,
 )
-from dca.perm import (
-    InsertionNeighborhood,
-    enumerate_insertion_neighbors,
-    insertion_move,
-    parse_assignment,
-)
+from dca.perm import InsertionNeighborhood, insertion_move, parse_assignment
 from dca.trace import RunContext
 
-from references import dump_trace
+from references import dump_trace, materialised_insertion_neighbors
 
 X34 = parse_assignment("2 3 5 4 8 10 11 9 6 7")
 X44 = parse_assignment("5 4 2 3 7 6 8 10 11 9")
@@ -83,7 +78,7 @@ class RecountProposer(InsertionProposer):
     materialised list of neighbours and its violations are recounted."""
 
     def propose(self, current, graph):
-        neighbors = list(enumerate_insertion_neighbors(current))
+        neighbors = materialised_insertion_neighbors(current)
         limit = graph.violations(current)
 
         def pick(scored):
@@ -213,7 +208,7 @@ class TestInsertionProposer:
         g.try_add(RankConstraint(1, 2))
         current = (1, 2, 3)
         feasible = {
-            x for _, x in enumerate_insertion_neighbors(current) if g.violations(x) == 0
+            x for _, x in materialised_insertion_neighbors(current) if g.violations(x) == 0
         }
         assert feasible == {(1, 3, 2), (3, 1, 2)}
         proposer = InsertionProposer(np.random.default_rng(5), pool_size=4)
@@ -286,11 +281,11 @@ class TestInsertionProposer:
         move, candidate = proposer.propose(current, graph)
         assert candidate == insertion_move(current, move.element, move.to_rank)
         if graph.violations(candidate) > limit:
-            assert all(graph.violations(x) > limit for _, x in enumerate_insertion_neighbors(current))
+            assert all(graph.violations(x) > limit for _, x in materialised_insertion_neighbors(current))
 
     def test_proposals_are_insertion_neighbors(self, g12):
         proposer = InsertionProposer(np.random.default_rng(11), pool_size=8)
-        neighborhood = {x for _, x in enumerate_insertion_neighbors(X34)}
+        neighborhood = {x for _, x in materialised_insertion_neighbors(X34)}
         for _ in range(100):
             move, candidate = proposer.propose(X34, g12)
             assert candidate in neighborhood

@@ -519,6 +519,12 @@ def test_script_moves_flag_pins_the_annealing_path(tmp_path, capsys):
     assert "-2.95471" in out
 
 
+def test_an_empty_script_moves_flag_is_refused_by_the_name_of_its_config_key(synthetic_config_file, capsys):
+    assert main(["optimize", "--config", str(synthetic_config_file), "--script-moves", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "phase2 script_moves must be a path, got ''" in err
+
+
 ROW = {"test_id": 0, "phase": 1, "assignment": "1 2 3", "mean": -1.0, "se": 0.1, "n_games": 10}
 BAD_NOTE = {"kind": "induced", "before": 1, "after": 2, "tests": 5, "gap": 0.2, "threshold": 0.1}
 NOTE = {**BAD_NOTE, "tests": [0, 1]}

@@ -18,7 +18,7 @@ from dca.perm import (
     rank_of,
 )
 
-from references import adjacent_transposition_diff
+from references import adjacent_transposition_diff, materialised_insertion_neighbors
 
 X0 = parse_assignment("11 2 3 10 9 6 4 5 7 8")
 
@@ -160,16 +160,15 @@ class TestAdjacentTranspositionDiff:
 
 class TestEnumerateInsertionNeighbors:
     def test_n2_single_neighbor(self):
-        entries = enumerate_insertion_neighbors((1, 2))
-        assert [a for _, a in entries] == [(2, 1)]
-        move = entries[0][0]
-        assert (move.element, move.from_rank, move.to_rank) == (1, 1, 2)
+        neighbors = enumerate_insertion_neighbors((1, 2))
+        assert len(neighbors) == 1
+        assert neighbors.move_at(0) == Move(1, 1, 2)
+        assert materialised_insertion_neighbors((1, 2)) == [(Move(1, 1, 2), (2, 1))]
 
     def test_n3_distinct_neighbors(self):
         # n(n-1) ordered moves collapse to (n-1)^2 distinct assignments; a
         # full reversal needs two moves, so it is not a neighbor.
-        entries = enumerate_insertion_neighbors((1, 2, 3))
-        neighbors = {a for _, a in entries}
+        neighbors = {a for _, a in materialised_insertion_neighbors((1, 2, 3))}
         assert neighbors == {(2, 1, 3), (2, 3, 1), (1, 3, 2), (3, 1, 2)}
         assert (3, 2, 1) not in neighbors
 
@@ -178,44 +177,26 @@ class TestEnumerateInsertionNeighbors:
 
     @given(permutations_strategy(6))
     def test_counts_and_exclusions(self, x):
-        entries = enumerate_insertion_neighbors(x)
-        n = len(x)
-        assignments = [a for _, a in entries]
-        assert len(set(assignments)) == len(assignments) == (n - 1) ** 2
+        neighbors = enumerate_insertion_neighbors(x)
+        moves = [neighbors.move_at(i) for i in range(len(neighbors))]
+        assignments = [insertion_move(x, move.element, move.to_rank) for move in moves]
+        assert len(set(assignments)) == len(assignments) == (len(x) - 1) ** 2
         assert x not in assignments
-        for move, a in entries:
-            assert insertion_move(x, move.element, move.to_rank) == a
+        for move in moves:
             assert rank_of(x, move.element) == move.from_rank
-
-
-def materialised_insertion_neighbors(x):
-    """The eager enumeration the lazy sequence replaced: every move, dedup, sort."""
-    best = {}
-    for element in x:
-        from_rank = rank_of(x, element)
-        for to_rank in range(1, len(x) + 1):
-            if to_rank == from_rank:
-                continue
-            move = Move(element, from_rank, to_rank)
-            neighbor = insertion_move(x, element, to_rank)
-            if neighbor not in best or move < best[neighbor]:
-                best[neighbor] = move
-    return sorted(((m, a) for a, m in best.items()), key=lambda pair: pair[0])
 
 
 class TestLazyNeighborhood:
     @given(permutations_strategy(30))
-    def test_indexing_and_iteration_match_the_materialised_list(self, x):
+    def test_move_at_matches_the_materialised_list(self, x):
         lazy = enumerate_insertion_neighbors(x)
         reference = materialised_insertion_neighbors(x)
         size = len(reference)
         assert len(lazy) == size == (len(x) - 1) ** 2
-        assert list(lazy) == reference
-        assert [lazy[i] for i in range(size)] == reference
-        assert [lazy[i] for i in range(-size, 0)] == reference
-        for bad in (size, size + 1, -size - 1):
-            with pytest.raises(IndexError):
-                lazy[bad]
+        assert [lazy.move_at(i) for i in range(size)] == [move for move, _ in reference]
+        for bad in (-1, size, size + 1):
+            with pytest.raises(IndexError, match=f"neighbour index {bad} out of range for {size} entries"):
+                lazy.move_at(bad)
 
 
 class TestSerialization:
