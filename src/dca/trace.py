@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -134,8 +135,8 @@ def trace_line(record: TraceRecord) -> str:
     `cached`/`reeval` appear only when set. The marker, decision and note
     kind words and the assignment go in verbatim, since none can hold a
     quote, a backslash or a non-ASCII character. Over the rows of an n=75
-    run this takes about 0.6 us a row against 2.8 us through the encoder
-    (timeit on a shared 2-vCPU Xeon VM).
+    run that carry their text this takes about 0.9 us a row, against 4.6 us
+    through the encoder (timeit on a shared 2-vCPU Xeon VM).
     """
     r = record
     notes = f'"annotations": [{", ".join(map(_note_json, r.annotations))}], ' if r.annotations else ""
@@ -183,24 +184,27 @@ def csv_row(record: TraceRecord) -> str:
     """One trace.csv row; annotations collapse to one column, below-gate ones bracketed.
 
     The assignment is the row's `text`, or formatted when it has none.
-    The row is what csv.writer writes, by one format string; the notes
-    column is built only for a row that has notes. Over the rows of an n=75
-    run this takes about 0.6 us a row against 3.6 us for csv.writer (timeit
-    on a shared 2-vCPU Xeon VM). No field ever needs quoting: the fields
-    are ints, floats, the fixed marker and decision words, the
-    space-separated assignment and the notes, none of which can hold a
-    comma, a quote or a line break.
+    The row is what csv.writer writes, by one format string per phase: a
+    phase-1 row with no phase-2 field set leaves those columns empty, and
+    the notes column is built only for a row that has notes. Over the rows
+    of an n=75 run that carry their text this takes about 0.7 us a row,
+    against 5.6 us for csv.writer (timeit on a shared 2-vCPU Xeon VM). No
+    field ever needs quoting: the fields are ints, floats, the fixed marker
+    and decision words, the space-separated assignment and the notes, none
+    of which can hold a comma, a quote or a line break.
     """
+    r = record
     notes = "; ".join(
         ("" if n.induced else "[") + f"{n.before}<{n.after}" + ("" if n.induced else "]")
-        for n in record.annotations
-    ) if record.annotations else ""
+        for n in r.annotations
+    ) if r.annotations else ""
+    assignment = r.text or format_assignment(r.assignment)
+    if r.phase == 1 and r.temperature is r.delta is r.probability is r.decision is None:
+        return f"{r.test_id},1,{assignment},{r.mean!r},{r.se!r},{r.n_games},{r.marker},,,,,{notes}\n"
     return (
-        f"{record.test_id},{record.phase},"
-        f"{record.text or format_assignment(record.assignment)},"
-        f"{record.mean!r},{record.se!r},{record.n_games},{record.marker},"
-        f"{_optional(record.temperature)},{_optional(record.delta)},{_optional(record.probability)},"
-        f"{record.decision or ''},{notes}\n"
+        f"{r.test_id},{r.phase},{assignment},{r.mean!r},{r.se!r},{r.n_games},{r.marker},"
+        f"{_optional(r.temperature)},{_optional(r.delta)},{_optional(r.probability)},"
+        f"{r.decision or ''},{notes}\n"
     )
 
 
@@ -219,7 +223,7 @@ class TraceSink:
     record's trace_line, so an interrupted run leaves a valid prefix of it.
     trace.csv is opened with trace.jsonl, so a directory that cannot take
     it fails the run before its first test, and is written whole, one
-    csv_row per record, by close().
+    csv_row per record, in one write by close().
     """
 
     def __init__(self, out_dir: str | Path):
@@ -243,21 +247,15 @@ class TraceSink:
             del self._offsets[start + 1:]
             self._jsonl.seek(self._offsets[start])
             self._jsonl.truncate()
-        at = self._offsets[-1]
-        lines = []
-        for record in records[start:]:
-            line = trace_line(record)
-            at += len(line)
-            self._offsets.append(at)
-            lines.append(line)
+        lines = list(map(trace_line, records[start:]))
+        self._offsets.extend(accumulate(map(len, lines), initial=self._offsets.pop()))
         self._jsonl.write("".join(lines).encode("ascii"))
         self._jsonl.flush()
 
     def close(self) -> None:
         self._jsonl.close()
         with self._csv:
-            self._csv.write(CSV_HEADER)
-            self._csv.writelines(map(csv_row, self._records))
+            self._csv.write(CSV_HEADER + "".join(map(csv_row, self._records)))
 
 
 @dataclass
@@ -284,12 +282,17 @@ class RunContext:
     def add(
         self, phase: int, x: Assignment, est: FitnessEstimate, test_id: Optional[int] = None, **fields
     ) -> int:
-        """Add the `phase` row of `x`'s test with TraceRecord `fields`; its id is `test_id` or the next."""
+        """Add the `phase` row of `x`'s test with TraceRecord `fields`; its id is `test_id` or the next.
+
+        A given `test_id` is one the counter already issued.
+        """
         if test_id is None:
             test_id, self.next_id = self.next_id, self.next_id + 1
-        # The phase-2 re-evaluation reuses a phase-1 test id; the first row
-        # stored under an id is the one its annotations belong to.
-        self.by_id.setdefault(test_id, len(self.records))
+            self.by_id[test_id] = len(self.records)
+        else:
+            # The phase-2 re-evaluation reuses a phase-1 test id; the first row
+            # stored under an id is the one its annotations belong to.
+            self.by_id.setdefault(test_id, len(self.records))
         self.records.append(TraceRecord(test_id, phase, x, est.mean, est.se, est.n_games, **fields))
         self.ids[x] = test_id
         return test_id

@@ -749,6 +749,29 @@ class TestSubprocessOracle:
         assert decode_response('{"mean": -2.0, "se": 0.0, "n": 1}') == FitnessEstimate(-2.0, 0.0, 1)
 
 
+class TestFitnessEstimate:
+    def test_fields_read_by_name_and_refuse_assignment(self):
+        est = FitnessEstimate(-1.5, 0.25, 64)
+        assert (est.mean, est.se, est.n_games) == (-1.5, 0.25, 64)
+        for name in ("mean", "se", "n_games"):
+            with pytest.raises(AttributeError):
+                setattr(est, name, 0)
+        assert est == FitnessEstimate(mean=-1.5, se=0.25, n_games=64)
+
+    def test_estimates_are_equal_and_hashed_by_value(self):
+        a, b = FitnessEstimate(-1.5, 0.25, 64), FitnessEstimate(-1.5, 0.25, 64)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, FitnessEstimate(-1.5, 0.25, 65)}) == 2
+        assert a != FitnessEstimate(-1.5, 0.5, 64)
+
+    def test_the_readers_return_estimates(self, tmp_path):
+        assert type(decode_response('{"mean": -2.0, "se": 0.1, "n": 64}')) is FitnessEstimate
+        fixture = tmp_path / "rows.replay"
+        fixture.write_text("# dca-replay v1\n1 2 3 | -1.0 | 0.1 | 10\n")
+        est = ReplayOracle.load(fixture).evaluate((1, 2, 3), 10)
+        assert type(est) is FitnessEstimate and est == FitnessEstimate(-1.0, 0.1, 10)
+
+
 class TestCachingEvaluator:
     def test_cache_hits_by_assignment_and_tier(self):
         landscape = unit_landscape((1, 2, 3), sigma=1.0)
@@ -763,6 +786,23 @@ class TestCachingEvaluator:
         assert evaluator.estimate((2, 1, 3), 200) == (third, False) and third.n_games == 200
         assert evaluator.fresh_evaluations == 2
         assert evaluator.games_used == 300
+
+    def test_an_exact_table_value_is_one_fresh_test_then_a_hit(self):
+        evaluator = CachingEvaluator(ExactOracle(unit_landscape((1, 2, 3))))
+        first, fresh1 = evaluator.estimate((2, 1, 3), 1000, exact=-2.0)
+        second, fresh2 = evaluator.estimate((2, 1, 3), 1000, exact=-2.0)
+        assert fresh1 and not fresh2 and second is first
+        assert first == FitnessEstimate(-2.0, 0.0, 1)
+        assert evaluator.fresh_evaluations == 1
+        assert evaluator.games_used == 1
+
+    def test_an_exact_value_leaves_a_cached_estimate_unchanged(self):
+        evaluator = CachingEvaluator(SyntheticOracle(unit_landscape((1, 2, 3), sigma=1.0), seed=5))
+        cached, _ = evaluator.estimate((2, 1, 3), 100)
+        est, fresh = evaluator.estimate((2, 1, 3), 100, exact=-99.0)
+        assert est is cached and not fresh
+        assert evaluator.fresh_evaluations == 1
+        assert evaluator.games_used == 100
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_prefetch_is_false_only_for_a_cached_pair(self, lanes):

@@ -330,6 +330,17 @@ class TestRowSerialisation:
         assert trace_line(replace(record, text=format_assignment(record.assignment))) == expected
 
     @given(records)
+    # A phase-1 row takes a shorter format only when every phase-2 field is
+    # None; these rows each keep one of those fields, or notes, in play.
+    @example(TraceRecord(3, 1, (2, 1, 3), -1.5, 0.25, 1000, temperature=0.5, decision=DECISION_IMPROVED))
+    @example(TraceRecord(3, 1, (2, 1, 3), -1.5, 0.25, 1000, probability=0.0))
+    @example(TraceRecord(3, 1, (2, 1, 3), -1.5, 0.25, 1000, delta=-0.0, decision=DECISION_REJECTED_WORSE))
+    @example(
+        TraceRecord(4, 1, (1, 3, 2), -1.0, 0.1, 1000, marker=MARKER_STAR, annotations=[
+            RankConstraint(3, 2, (3, 4), 0.5, 0.1, AddOutcome.ADDED.value),
+            RankConstraint(1, 2, (2, 4), 0.05, 0.1, NOT_INDUCED),
+        ])
+    )
     def test_csv_row_equals_csv_writer(self, record):
         expected = reference_csv_row(record)
         assert csv_row(record) == expected
