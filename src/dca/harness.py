@@ -8,6 +8,7 @@ first 8 bytes big-endian, for labels "oracle", "proposer" and "acceptance".
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.resources
 import json
@@ -279,10 +280,16 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
     """Validate `cfg` and wire one run's parts; on exit close the oracle and flush the trace.
 
     With `out_dir` the run's TraceSink streams trace.jsonl there and writes trace.csv on exit.
+    Until the trace has closed, Python's cyclic collector is paused, process-wide: a run drops no
+    reference cycles, so reference counting frees all it drops. On exit, also on an error, what
+    the run keeps joins the oldest generation unscanned (unless the caller has frozen objects),
+    and the collector is enabled again only if it was enabled on entry.
     """
     cfg.validate()
     oracle = build_oracle(cfg.oracle, derive_seed(cfg.seed, "oracle"))
     run = RunContext()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         proposer: InsertionProposer | ScriptedProposer
         if cfg.phase2.script_moves:
@@ -302,10 +309,17 @@ def assemble(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> Iterator[R
             acceptance_rng=np.random.default_rng(derive_seed(cfg.seed, "acceptance")),
         )
     finally:
-        oracle.close()
-        if run.sink is not None:
-            run.checkpoint()
-            run.sink.close()
+        try:
+            oracle.close()
+            if run.sink is not None:
+                run.checkpoint()
+                run.sink.close()
+        finally:
+            if not gc.get_freeze_count():  # freeze, then unfreeze into the oldest generation
+                gc.freeze()
+                gc.unfreeze()
+            if collecting:
+                gc.enable()
 
 
 def run_experiment(cfg: RunConfig, out_dir: Optional[str | Path] = None) -> ExperimentSummary:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -41,9 +42,10 @@ from dca.harness import (
     replay_verify,
     run_experiment,
 )
-from dca.trace import read_trace, trace_line
+from dca.trace import TraceSink, read_trace, trace_line
 
 from references import dump_trace, reference_fitness, satisfies
+from test_evaluation import ECHO_EVALUATOR
 
 
 def unit_landscape(target, sigma=0.0):
@@ -306,6 +308,15 @@ class TestBruteForceEqualsTheExhaustiveLoop:
             assert [brute_force_optimum(landscape), brute_force_optimum(landscape, g)] == expected
 
 
+def truncated_replay_config(tmp_path, write_replay):
+    """The paper replay on a fixture cut after its first eight rows: phase 1's ninth test misses."""
+    fixture = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
+    write_replay(dict(list(fixture.records.items())[:8]), tmp_path / "short.replay")
+    cfg = paper_replay_config()
+    cfg.oracle = {"kind": "replay", "path": str(tmp_path / "short.replay")}
+    return cfg
+
+
 class TestRunExperiment:
     def test_exact_small_run_matches_brute_force(self):
         landscape = unit_landscape((2, 4, 1, 3))
@@ -408,15 +419,9 @@ class TestRunExperiment:
     def test_interrupted_run_leaves_a_parseable_trace_prefix(self, tmp_path, write_replay):
         # An oracle failure mid-run must still leave complete, annotated
         # rows on disk in both trace files.
-        fixture = ReplayOracle.load(packaged_fixtures_dir() / FIXTURE_TABLE1_2)
-        truncated = dict(list(fixture.records.items())[:8])
-        fixture_path = tmp_path / "short.replay"
-        write_replay(truncated, fixture_path)
-        cfg = paper_replay_config()
-        cfg.oracle = {"kind": "replay", "path": str(fixture_path)}
         out = tmp_path / "out"
         with pytest.raises(ReplayMissError):
-            run_experiment(cfg, out_dir=out)
+            run_experiment(truncated_replay_config(tmp_path, write_replay), out_dir=out)
         prefix = read_trace(out / "trace.jsonl")
         assert [r.test_id for r in prefix] == list(range(8))
         assert any(r.annotations for r in prefix)
@@ -427,6 +432,90 @@ class TestRunExperiment:
             "; ".join(f"{n.before}<{n.after}" if n.induced else f"[{n.before}<{n.after}]" for n in r.annotations)
             for r in prefix
         ]
+
+
+class TestCollectorPause:
+    """`assemble` pauses the cyclic collector for a run and restores the caller's setting after it."""
+
+    @pytest.fixture
+    def caller_collects(self, request):
+        """The collector as the caller leaves it before `assemble`; enabled again after the test."""
+        assert gc.isenabled()
+        if not request.param:
+            gc.disable()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("caller_collects", [True, False], indirect=True, ids=["enabled", "disabled"])
+    def test_paused_inside_the_run_and_restored_after_it(self, caller_collects):
+        with assemble(synthetic_config()) as parts:
+            assert not gc.isenabled()
+            parts.phase1()
+        assert gc.isenabled() is caller_collects
+
+    @pytest.mark.parametrize("caller_collects", [True, False], indirect=True, ids=["enabled", "disabled"])
+    def test_restored_after_an_error_inside_the_run(self, caller_collects, tmp_path, write_replay):
+        with pytest.raises(ReplayMissError), assemble(truncated_replay_config(tmp_path, write_replay)) as parts:
+            parts.phase1()
+        assert gc.isenabled() is caller_collects
+
+    def test_restored_after_the_trace_fails_to_close(self, tmp_path, monkeypatch):
+        close = TraceSink.close
+
+        def refuse(sink):
+            close(sink)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(TraceSink, "close", refuse)
+        assert gc.isenabled()
+        with pytest.raises(OSError, match="no space"), assemble(synthetic_config(), tmp_path / "out") as parts:
+            parts.phase1()
+        assert gc.isenabled()
+
+    def test_what_the_run_keeps_joins_the_oldest_generation(self):
+        # Enabling the collector with the run's objects still young would
+        # scan them all at the next allocation, which is what the pause saves.
+        with assemble(synthetic_config()) as parts:
+            parts.phase1()
+        records = parts.run.records
+        assert any(o is records for o in gc.get_objects(generation=2))
+
+    def test_a_callers_frozen_objects_stay_frozen(self):
+        kept = []
+        gc.freeze()
+        try:
+            with assemble(synthetic_config()) as parts:
+                parts.phase1()
+            assert not any(o is kept for o in gc.get_objects())
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize(
+        "oracle, to_disk",
+        [
+            ({"kind": "exact", "target": "3 1 4 10 5 9 2 6 8 7", "weights": 1.0}, True),
+            ({"kind": "synthetic", "target": "3 1 4 10 5 9 2 6 8 7", "sigma": 1.9}, False),
+            ({"kind": "subprocess", "cmd": [sys.executable, "-c", ECHO_EVALUATOR], "timeout": 10, "workers": 2}, False),
+        ],
+        ids=["exact-out-dir", "synthetic", "subprocess-2-workers"],
+    )
+    def test_a_run_makes_no_reference_cycles(self, oracle, to_disk, tmp_path):
+        # The pause is safe only while a run leaves nothing for the collector
+        # to find: a cycle that a run drops, such as a caught exception kept in
+        # a local, would pile up unseen until the run ends.
+        cfg = RunConfig.from_dict({
+            "initial": "10 9 8 7 6 5 4 3 2 1",
+            "seed": 3,
+            "oracle": oracle,
+            "phase1": {"games": 100, "baseline_games": 200},
+            "phase2": {"games": 400, "steps": 30, "t0": 1.0, "dt": 0.015},
+        })
+        gc.collect()
+        with assemble(cfg, tmp_path / "out" if to_disk else None) as parts:
+            p1 = parts.phase1()
+            parts.phase2(p1.best, p1.graph)
+            assert parts.run.records
+            assert gc.collect() == 0
 
 
 def edge_records(graph):
