@@ -35,6 +35,7 @@ from dca.trace import (
     parse_note,
     read_trace,
     trace_line,
+    trace_rows,
 )
 
 from references import dump_trace, trace_to_csv
@@ -63,6 +64,26 @@ class TestRunContext:
         run.add(1, (2, 1, 3), estimate(-1.0), 4)
         assert run.ids.get((2, 1, 3)) == 4
         assert run.ids.get((1, 2, 3)) is None
+
+    @pytest.mark.parametrize("cached, reeval", [(True, False), (False, True)])
+    def test_add_puts_each_field_in_its_place(self, cached, reeval):
+        run = RunContext()
+        fields = dict(marker=DECISION_ACCEPTED_WORSE, temperature=0.5, delta=0.25, probability=0.125,
+                      decision=DECISION_REJECTED_WORSE, cached=cached, reeval=reeval)
+        run.add(2, (3, 1, 2), FitnessEstimate(-1.5, 0.2, 16000), text="3 1 2", **fields)
+        row, = run.records
+        assert row == TraceRecord(test_id=0, phase=2, assignment=(3, 1, 2), mean=-1.5, se=0.2,
+                                  n_games=16000, **fields)
+        assert row.text == "3 1 2"
+
+    def test_each_row_has_its_own_annotations(self):
+        run = RunContext()
+        run.add(1, (1, 2, 3), estimate(-2.0))
+        run.add(1, (2, 1, 3), estimate(-1.0))
+        run.annotate(0, RankConstraint(1, 2, (0, 1), 1.0, 0.1))
+        assert [len(r.annotations) for r in run.records] == [1, 0]
+        with pytest.raises(TypeError):
+            run.add(1, (1, 3, 2), estimate(-1.0), annotations=[])
 
     def test_annotate_marks_the_lowest_changed_row(self):
         run = RunContext()
@@ -114,6 +135,23 @@ class TestTraceSink:
         run.sink.close()
         assert_files_match(tmp_path, run.records)
         assert "[3<2]" in (tmp_path / "trace.csv").read_text().splitlines()[2]
+
+    def test_a_rewind_keeps_trace_csv_in_step(self, tmp_path):
+        run = RunContext(sink=TraceSink(tmp_path))
+        for i in range(6):
+            run.add(1, (1, 2, 3), estimate(-1.0 - i))
+            if i % 2:
+                run.checkpoint()
+        # Row 1 was flushed at the first of three checkpoints; the next flush rewinds to it.
+        run.annotate(1, RankConstraint(3, 2, (0, 1), 0.5, 0.2))
+        run.add(1, (1, 3, 2), estimate(-0.5))
+        run.checkpoint()
+        run.add(1, (2, 1, 3), estimate(-0.25))
+        run.checkpoint()
+        run.sink.close()
+        rows = (tmp_path / "trace.csv").read_text().splitlines(keepends=True)
+        assert rows == [CSV_HEADER, *map(csv_row, run.records)]
+        assert rows[2].endswith(",3<2\n")
 
     @pytest.mark.parametrize("scope", ["flanking", "all-pairs"])
     def test_files_equal_the_records_after_every_checkpoint(self, scope, tmp_path, monkeypatch):
@@ -345,6 +383,21 @@ class TestRowSerialisation:
         expected = reference_csv_row(record)
         assert csv_row(record) == expected
         assert csv_row(replace(record, text=format_assignment(record.assignment))) == expected
+
+    @given(records | records.map(lambda r: replace(
+        r, phase=1, temperature=None, delta=None, probability=None, decision=None)))
+    # A run's phase-1 row has no notes, no phase-2 field and a finite mean and se; the first two
+    # rows take the one-pass format, and each of the others breaks one of those conditions.
+    @example(TraceRecord(5, 1, (2, 1, 3), -1.5, 0.25, 1000, marker=MARKER_STAR))
+    @example(TraceRecord(5, 1, (2, 1, 3), -0.0, 5e-324, 1000))
+    @example(TraceRecord(5, 1, (2, 1, 3), math.nan, 0.25, 1000))
+    @example(TraceRecord(5, 1, (2, 1, 3), -1.5, -math.inf, 1000))
+    @example(TraceRecord(5, 1, (2, 1, 3), -1.5, 0.25, 1000, delta=-0.0))
+    @example(TraceRecord(5, 1, (2, 1, 3), -1.5, 0.25, 1000, annotations=[
+        RankConstraint(1, 2, (2, 4), 0.05, 0.1, NOT_INDUCED)]))
+    def test_trace_rows_equal_trace_line_and_csv_row(self, record):
+        for r in (record, replace(record, text=format_assignment(record.assignment))):
+            assert trace_rows(r) == (trace_line(r), csv_row(r))
 
     @given(records)
     def test_every_key_list_is_sorted(self, record):
