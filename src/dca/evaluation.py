@@ -50,7 +50,7 @@ class FitnessEstimate(NamedTuple):
 
 
 def untrustworthy(est: FitnessEstimate) -> Optional[str]:
-    """What makes `est` unusable, or None: the check on every estimate read from outside."""
+    """What makes `est` unusable, or None: the check on every estimate a run takes in."""
     # A NaN mean would silently disable the noise gate and the sweep stop rule.
     if not (math.isfinite(est.mean) and math.isfinite(est.se)):
         return "a non-finite mean or se"
@@ -80,8 +80,9 @@ def format_se(value: float) -> str:
 class HiddenTargetLandscape:
     """Separable fitness over permutations: weighted displacement from a target.
 
-    true_fitness(x) = -sum_e w_e * |rank_of(x, e) - rank_of(target, e)|, so the
-    target permutation scores 0 and everything else scores below it.
+    true_fitness(x) = -sum_e w_e * |rank_of(x, e) - rank_of(target, e)|, so with
+    non-negative weights the target permutation scores 0 and everything else
+    scores at or below it.
     """
 
     target: Assignment
@@ -165,8 +166,9 @@ class HiddenTargetLandscape:
         """The true fitness of `baseline` with `element` moved to each rank 1..k, or None.
 
         Entry r - 1 is `true_fitness(insertion_move(baseline, element, r))`
-        bit for bit. A NaN total (a missing target element, or inf - inf)
-        gives None, for the caller to score each probe alone.
+        bit for bit. A non-finite total (a missing target element, a term
+        that overflows, or inf - inf) gives None, for the caller to score each
+        probe alone, where a non-finite one is refused.
 
         The terms are laid out slot-major: row i of one (n + 1) x k matrix
         is target rank i, column r - 1 puts `element` at rank r and shifts
@@ -192,7 +194,7 @@ class HiddenTargetLandscape:
         np.multiply(np.abs(terms, out=terms), self._w[:, None], out=terms)
         terms[at[own]] = abs(ranks - self._i[at[own]]) * self._w[at[own]]
         totals = -np.add.reduce(terms, axis=0)
-        return None if np.isnan(totals).any() else totals.tolist()
+        return totals.tolist() if np.isfinite(totals).all() else None
 
     def _totals(self, ranks: np.ndarray) -> np.ndarray:
         """Each row's score: the negated fold from column 0 of w * |rank - i|, in place."""
@@ -253,7 +255,7 @@ class Oracle:
         return False
 
     def sweep(self, baseline: Assignment, element: int) -> Optional[list[float]]:
-        """Exact means (se 0, one game) of `baseline` with `element` at each rank 1..n, or None.
+        """Exact finite means (se 0, one game) of `baseline` with `element` at each rank 1..n, or None.
 
         None, the default, leaves each probe of a phase-1 sweep to `evaluate`.
         """
@@ -658,15 +660,21 @@ class CachingEvaluator:
     ) -> tuple[FitnessEstimate, bool]:
         """Return (estimate, fresh); fresh is False on a cache hit.
 
-        `exact`, x's mean from the oracle's `sweep` table, stands in for
-        `evaluate` on a miss.
+        `exact`, x's finite mean from the oracle's `sweep` table, stands in
+        for `evaluate` on a miss. An `evaluate` estimate that `untrustworthy`
+        names is a ConfigError, raised before it is cached: replay rows and
+        evaluator responses are checked as they are read, so it is an
+        in-process oracle's, made unusable by the config's numbers.
         """
         tier = self._tiers[n_games]
         if exact is None:
             est = tier.get(x)
             if est is not None:
                 return est, False
-            est = tier[x] = self.oracle.evaluate(x, n_games)
+            est = self.oracle.evaluate(x, n_games)
+            if problem := untrustworthy(est):
+                raise ConfigError(f"oracle estimate of {format_assignment(x)} at {n_games} games has {problem}")
+            tier[x] = est
         else:  # one hash of x: the table's value goes in unless x is cached
             new = FitnessEstimate(exact, 0.0, 1)
             est = tier.setdefault(x, new)

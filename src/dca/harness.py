@@ -406,7 +406,12 @@ def brute_force_optimum(
             chunk = list(compress(chunk, (at[:, edges[:, 0]] < at[:, edges[:, 1]]).all(axis=1).tolist()))
             if not chunk:
                 continue
-        for perm, mean in zip(chunk, landscape.scores(chunk)):
+        scores = landscape.scores(chunk)
+        if not math.isfinite(sum(scores)):  # one pass a chunk; a sum that overflows alone is no fault
+            for perm, mean in zip(chunk, scores):
+                if not math.isfinite(mean):
+                    raise ConfigError(f"landscape scores {format_assignment(perm)} as {mean}; a weight is too large")
+        for perm, mean in zip(chunk, scores):
             if mean > best_mean:
                 best, best_mean = perm, mean
     if best is None:

@@ -269,6 +269,24 @@ def test_brute_with_graph(tmp_path, capsys):
     assert best.index("1") < best.index("3")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_brute_blames_an_overflowing_landscape_not_the_graph(tmp_path, capsys):
+    landscape, graph_file = tmp_path / "landscape.json", tmp_path / "edges.txt"
+    landscape.write_text(json.dumps({"target": [3, 1, 2, 4], "weights": 1e308}))
+    graph_file.write_text("1 < 3\n")
+    assert main(["brute", "--landscape", str(landscape), "--graph", str(graph_file)]) == 2
+    assert capsys.readouterr().err == "error: landscape scores 1 2 3 4 as -inf; a weight is too large\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_optimize_refuses_a_non_finite_estimate(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    oracle = {"kind": "exact", "target": "2 4 1 3", "weights": 1e308}
+    config.write_text(json.dumps({"initial": "1 2 3 4", "seed": 1, "oracle": oracle}))
+    assert main(["optimize", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: oracle estimate of 1 2 3 4 at 2000 games has a non-finite mean or se\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [

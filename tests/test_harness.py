@@ -235,6 +235,15 @@ class TestBruteForce:
         landscape = unit_landscape((2, 1, 4, 3))
         assert brute_force_optimum(landscape) == brute_force_optimum(landscape, ConstraintGraph())
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_refuses_a_score_that_overflows_but_not_a_sum_that_does(self, monkeypatch):
+        with pytest.raises(ConfigError, match="^landscape scores 1 2 3 as -inf; a weight is too large$"):
+            brute_force_optimum(HiddenTargetLandscape((3, 1, 2), dict.fromkeys((3, 1, 2), 1e308)))
+        # Each score is finite, but four of them sum past the largest float.
+        landscape = HiddenTargetLandscape((3, 1, 2), dict.fromkeys((3, 1, 2), 4e307))
+        monkeypatch.setattr(dca.harness, "BRUTE_FORCE_CHUNK", 4)
+        assert brute_force_optimum(landscape) == ((3, 1, 2), -0.0)
+
     def test_constrained_optimum_is_best_linear_extension(self):
         landscape = unit_landscape((4, 3, 2, 1))
         g = ConstraintGraph()
@@ -415,6 +424,27 @@ class TestRunExperiment:
         assert len(rows) == len(summary.trace)
         assert rows[0]["test_id"] == "0"
         assert {row["phase"] for row in rows} == {"1", "2"}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "initial, oracle",
+        [
+            ("1 2 3 4 5", {"kind": "exact", "target": "2 4 1 5 3", "weights": 1e308}),
+            # The baseline scores 0, so the first sweep's table overflows and its probes go to `evaluate`.
+            ("2 4 1 5 3", {"kind": "exact", "target": "2 4 1 5 3", "weights": 1e308}),
+            ("1 2 3 4 5", {"kind": "synthetic", "target": "2 4 1 5 3", "sigma": 1e200}),
+            (
+                "1 2 3 4 5",
+                {"kind": "pool", "members": [{"weight": 1e308, "oracle": {"kind": "exact", "target": "2 4 1 5 3"}}] * 2},
+            ),
+        ],
+        ids=["exact", "exact-sweep", "synthetic", "pool"],
+    )
+    def test_a_non_finite_estimate_ends_the_run(self, initial, oracle, tmp_path):
+        cfg = RunConfig.from_dict({"initial": initial, "seed": 3, "oracle": oracle, "phase2": {"steps": 3}})
+        with pytest.raises(ConfigError, match=r"^oracle estimate of [\d ]+ at \d+ games has a non-finite mean or se$"):
+            run_experiment(cfg, out_dir=tmp_path / "out")
+        assert all(math.isfinite(r.mean) and math.isfinite(r.se) for r in read_trace(tmp_path / "out" / "trace.jsonl"))
 
     def test_interrupted_run_leaves_a_parseable_trace_prefix(self, tmp_path, write_replay):
         # An oracle failure mid-run must still leave complete, annotated

@@ -1,16 +1,21 @@
-"""The modules outside `dca` that importing the package loads.
+"""The modules that importing the package loads.
 
-`import dca.harness` loads every `dca` module but `cli`, and with them
-every module they import at module level; perfbench's `setup_s` times
-that import on every workload. The pinned set covers `cli` too, the
-`dca` command's entry point. A change that adds a module to this set
-changes this test in the same diff, and says why the import is worth its
-cost there.
+`dca/__init__.py` holds only its docstring: each name is imported from the
+module that defines it, so `import dca.perm` loads `perm` and what `perm`
+imports, and no numpy. `import dca.harness` loads every `dca` module but
+`cli`, and with them every module they import at module level; perfbench's
+`setup_s` times that import on every workload. The pinned set covers `cli`
+too, the `dca` command's entry point. A change that adds a module to this
+set changes this test in the same diff, and says why the import is worth
+its cost there.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dca"
@@ -68,3 +73,16 @@ def test_the_package_imports_only_the_pinned_modules():
 def test_an_import_in_a_function_body_is_not_module_level():
     tree = ast.parse("import a\nif b:\n    from c.d import e\ndef f():\n    import g\nclass H:\n    import i\n")
     assert module_level_imports(tree) == {"a", "c.d"}
+
+
+def test_the_package_and_its_light_modules_load_nothing_they_do_not_import():
+    code = (
+        "import sys\n"
+        "import dca\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dca.')))\n"
+        "import dca.perm, dca.constraints\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\nFalse\n"
